@@ -31,7 +31,7 @@ int CompareBackend(solver::Backend backend, int workers, double budget_ms,
   ACloudConfig cfg;
   cfg.duration_hours = duration_hours;  // keep the comparison leg quick
   cfg.solver_time_ms = budget_ms;
-  cfg.solver_backend = solver::BackendName(backend);
+  cfg.solver_backend = backend;
   cfg.solver_workers = workers;
   ACloudScenario scenario(cfg);
   auto r = scenario.Run(ACloudPolicy::kACloud);

@@ -74,7 +74,7 @@ int RunChurn(FILE* out_file) {
       cfg.capacity = 45;
       cfg.demand_hi = 4;
       cfg.link_loss_prob = c.loss;  // sustained loss; retransmission recovers
-      cfg.solver_backend = "lns";
+      cfg.solver_backend = solver::Backend::kLns;
       cfg.solver_max_iterations = 8;
       cfg.solver_time_ms = 0;
       cfg.fault_plan = ChurnPlan(0, c.crash, cfg.num_dcs, cfg.seed);

@@ -371,8 +371,8 @@ struct MicroCase {
   int subproblems;  ///< Subproblem-parallel frontier width; 0 = off.
   int workers;      ///< Race/steal width; <= 1 keeps the sequential path.
   bool naive = false;  ///< Legacy untyped-FIFO propagation reference mode
-                       ///< (SOLVER_NAIVE_PROPAGATION); same search tree,
-                       ///< historical effort counters.
+                       ///< (Model::Options::naive_propagation); same search
+                       ///< tree, historical effort counters.
 };
 
 // `deep_dive_bnb` is the headline case of the trailed-store trajectory: a

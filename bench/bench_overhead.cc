@@ -49,7 +49,7 @@ FtsConfig ObsSoakConfig(bool obs) {
   cfg.max_link_batch = 3;
   cfg.capacity = 45;
   cfg.demand_hi = 4;
-  cfg.solver_backend = "lns";
+  cfg.solver_backend = solver::Backend::kLns;
   cfg.solver_max_iterations = 8;
   cfg.solver_time_ms = 0;
   cfg.obs_metrics = obs;

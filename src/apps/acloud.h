@@ -34,9 +34,8 @@ const char* ACloudPolicyName(ACloudPolicy p);
 /// The solver/observability knobs shared by every driver live in the
 /// CommonConfig base (the network-transport ones are unused here — this
 /// driver replays a trace against standalone instances, no simulated net).
-/// CommonConfig::solver_backend replaces the historical solver::Backend
-/// enum field: empty keeps the program default (branch-and-bound);
-/// bench_fig2_3_acloud sets the spelled-out names.
+/// An unset CommonConfig::solver_backend keeps the program default
+/// (branch-and-bound).
 struct ACloudConfig : CommonConfig {
   ACloudConfig() { seed = 7; }
 

@@ -15,16 +15,11 @@ runtime::SolveOptions OverlaySolveOptions(const CommonConfig& config,
                                           runtime::SolveOptions base,
                                           double time_limit_ms) {
   if (time_limit_ms >= 0) base.time_limit_ms = time_limit_ms;
-  if (!config.solver_backend.empty()) {
-    (void)solver::ParseBackend(config.solver_backend, &base.backend);
-  }
+  if (config.solver_backend) base.backend = *config.solver_backend;
   if (config.solver_max_iterations > 0) {
     base.max_iterations = config.solver_max_iterations;
   }
   if (config.solver_incremental) base.incremental = true;
-  if (config.solver_cache) base.cache = true;
-  if (config.solver_subproblems > 0) base.subproblems = config.solver_subproblems;
-  if (config.solver_naive_propagation) base.naive_propagation = true;
   return base;
 }
 

@@ -6,7 +6,7 @@
 #define COLOGNE_APPS_COMMON_CONFIG_H_
 
 #include <cstdint>
-#include <string>
+#include <optional>
 
 #include "runtime/solver_bridge.h"
 #include "runtime/system.h"
@@ -33,10 +33,9 @@ struct CommonConfig {
   bool batch_links = false;
   /// Cap on links per batched solve; 0 = unlimited.
   int max_link_batch = 0;
-  /// Override the program's SOLVER_BACKEND for the driver's solves ("bnb",
-  /// "lns", "portfolio", "parallel_lns", "local_search"); empty keeps the
-  /// program default.
-  std::string solver_backend;
+  /// Override the program's SOLVER_BACKEND for the driver's solves; unset
+  /// keeps the program default. Tools parse the spelling at their edge.
+  std::optional<solver::Backend> solver_backend;
   /// Deterministic improvement budget forwarded to
   /// SolveOptions::max_iterations; 0 = wall-clock bounded.
   uint64_t solver_max_iterations = 0;
@@ -45,20 +44,6 @@ struct CommonConfig {
   /// unchanged stay pinned to the previous incumbent while search focuses
   /// on the dirtied ones. Off = the historical cold-solve behavior.
   bool solver_incremental = false;
-  /// Persist exhausted-subtree proofs across the driver's solves
-  /// (SOLVER_CACHE): repeated re-solves of a near-identical model skip
-  /// subtrees a previous search already exhausted. Off = cache-free search,
-  /// byte-identical to the historical solve path.
-  bool solver_cache = false;
-  /// Subproblem-parallel B&B width (SOLVER_SUBPROBLEMS) for concurrent
-  /// backends with >1 worker; 0 = off.
-  int solver_subproblems = 0;
-  /// Run the propagation engine in its legacy untyped-FIFO reference mode
-  /// (SOLVER_NAIVE_PROPAGATION): no event masks, no incremental linear
-  /// aggregates, no entailment unsubscription. Search trees are identical
-  /// either way; only propagator-effort metrics differ. Used by the
-  /// confluence sweep and the CI props-per-node ratio gate.
-  bool solver_naive_propagation = false;
 };
 
 /// System::Options from the shared knobs (seed, reliable transport,

@@ -124,6 +124,21 @@ bool ParseScenarioApp(const std::string& name, ScenarioApp* out) {
   return false;
 }
 
+bool ParseBackendList(const std::string& csv,
+                      std::vector<solver::Backend>* out, std::string* bad) {
+  out->clear();
+  bad->clear();
+  for (const std::string& name : Split(csv, ',')) {
+    solver::Backend b;
+    if (!solver::ParseBackend(name, &b)) {
+      *bad = name;
+      return false;
+    }
+    out->push_back(b);
+  }
+  return !out->empty();
+}
+
 Scenario GenerateScenario(ScenarioApp app, uint64_t seed,
                           const ScenarioGenConfig& config) {
   Scenario s;
@@ -216,13 +231,13 @@ std::string Scenario::ToJson() const {
   return w.Take();
 }
 
-ScenarioRun RunScenario(const Scenario& scenario, const std::string& backend) {
+ScenarioRun RunScenario(const Scenario& scenario, solver::Backend backend) {
   ScenarioRun run;
   runtime::TraceRecorder trace;
   switch (scenario.app) {
     case ScenarioApp::kFts: {
       FtsConfig cfg = scenario.fts;
-      cfg.solver_backend = backend.empty() ? cfg.solver_backend : backend;
+      cfg.solver_backend = backend;
       cfg.trace = &trace;
       FollowTheSunScenario s(cfg);
       auto r = s.Run();
@@ -239,7 +254,7 @@ ScenarioRun RunScenario(const Scenario& scenario, const std::string& backend) {
     }
     case ScenarioApp::kWireless: {
       WirelessConfig cfg = scenario.wireless;
-      cfg.solver_backend = backend.empty() ? cfg.solver_backend : backend;
+      cfg.solver_backend = backend;
       cfg.trace = &trace;
       WirelessScenario s(cfg);
       auto r = s.AssignChannels(WirelessProtocol::kDistributed);
@@ -255,7 +270,7 @@ ScenarioRun RunScenario(const Scenario& scenario, const std::string& backend) {
     }
     case ScenarioApp::kACloud: {
       ACloudConfig cfg = scenario.acloud;
-      cfg.solver_backend = backend.empty() ? cfg.solver_backend : backend;
+      cfg.solver_backend = backend;
       cfg.solve_trace = &trace;
       ACloudScenario s(cfg);
       auto r = s.Run(ACloudPolicy::kACloud);

@@ -19,6 +19,7 @@
 #include "apps/acloud.h"
 #include "apps/followsun.h"
 #include "apps/wireless.h"
+#include "solver/types.h"
 
 namespace cologne::apps {
 
@@ -29,6 +30,12 @@ enum class ScenarioApp { kFts, kWireless, kACloud };
 const char* ScenarioAppName(ScenarioApp app);
 /// Parse a name printed by ScenarioAppName; false on unknown names.
 bool ParseScenarioApp(const std::string& name, ScenarioApp* out);
+
+/// Parse a comma-separated backend list ("local_search,lns", the sweep's
+/// --backends flag). False on an empty list or an unknown spelling, which
+/// is stored in `*bad` ("" for an empty list).
+bool ParseBackendList(const std::string& csv,
+                      std::vector<solver::Backend>* out, std::string* bad);
 
 /// Generation knobs. The defaults generate scenarios sized for a sweep
 /// (hundreds in seconds); the tier-1 property test shrinks them further for
@@ -94,10 +101,9 @@ struct ScenarioRun {
 };
 
 /// Execute `scenario` with the driver's SOLVER_BACKEND overridden to
-/// `backend` ("bnb", "lns", "portfolio", "parallel_lns", "local_search";
-/// empty keeps the scenario default), recording a trace and checking the
-/// app's invariants (apps/invariants.h) on the outcome.
-ScenarioRun RunScenario(const Scenario& scenario, const std::string& backend);
+/// `backend`, recording a trace and checking the app's invariants
+/// (apps/invariants.h) on the outcome.
+ScenarioRun RunScenario(const Scenario& scenario, solver::Backend backend);
 
 }  // namespace cologne::apps
 

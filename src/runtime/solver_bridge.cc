@@ -954,31 +954,27 @@ std::vector<uint64_t> ComputeFingerprints(
   return fp;
 }
 
+// Overwrite `*dst` when the program set the knob.
+template <typename T, typename K>
+void ApplyKnob(T* dst, const std::optional<K>& knob) {
+  if (knob) *dst = static_cast<T>(*knob);
+}
+
 }  // namespace
 
 SolveOptions ResolveSolveOptions(const colog::CompiledProgram& program,
                                  SolveOptions base) {
-  const colog::SolverKnobsIR& knobs = program.knobs;
-  if (knobs.max_time_ms) base.time_limit_ms = *knobs.max_time_ms;
-  if (knobs.backend) {
-    // The planner already validated the spelling; fall back to B&B anyway.
-    solver::Backend b;
-    if (solver::ParseBackend(*knobs.backend, &b)) base.backend = b;
-  }
-  if (knobs.seed) base.seed = *knobs.seed;
-  if (knobs.restart_base_nodes) {
-    base.restart_base_nodes = *knobs.restart_base_nodes;
-  }
-  if (knobs.workers) base.num_workers = static_cast<int>(*knobs.workers);
-  if (knobs.incremental) base.incremental = *knobs.incremental;
-  if (knobs.incr_threshold_pct) {
-    base.incr_threshold_pct = static_cast<int>(*knobs.incr_threshold_pct);
-  }
-  if (knobs.cache) base.cache = *knobs.cache;
-  if (knobs.subproblems) {
-    base.subproblems = static_cast<int>(*knobs.subproblems);
-  }
-  if (knobs.naive_propagation) base.naive_propagation = *knobs.naive_propagation;
+  // One line per solver knob; NET_RELIABLE and OBS_METRICS apply in System.
+  const colog::SolverKnobsIR& k = program.knobs;
+  ApplyKnob(&base.time_limit_ms, k.max_time_ms);
+  ApplyKnob(&base.backend, k.backend);
+  ApplyKnob(&base.seed, k.seed);
+  ApplyKnob(&base.restart_base_nodes, k.restart_base_nodes);
+  ApplyKnob(&base.num_workers, k.workers);
+  ApplyKnob(&base.incremental, k.incremental);
+  ApplyKnob(&base.incr_threshold_pct, k.incr_threshold_pct);
+  ApplyKnob(&base.cache, k.cache);
+  ApplyKnob(&base.subproblems, k.subproblems);
   return base;
 }
 
@@ -1074,7 +1070,6 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   sopts.num_workers = options.num_workers;
   sopts.max_iterations = options.max_iterations;
   sopts.subproblems = options.subproblems;
-  sopts.naive_propagation = options.naive_propagation;
 
   // Warm start: map the cached previous solution onto this solve's freshly
   // created variables by var-table row identity. The periodic invokeSolver

@@ -28,7 +28,7 @@
 namespace cologne::runtime {
 
 /// Per-solve knobs (the paper's SOLVER_MAX_TIME plus this implementation's
-/// backend knobs; see colog::SolverKnobsIR for the in-language spellings).
+/// backend knobs; see colog::KnobTable() for the in-language spellings).
 struct SolveOptions {
   double time_limit_ms = 10'000;
   uint64_t node_limit = 0;
@@ -83,14 +83,6 @@ struct SolveOptions {
   /// subproblems that workers steal from a shared queue instead of
   /// re-searching from the root. 0 disables.
   int subproblems = 0;
-  /// Legacy untyped-FIFO propagation (SOLVER_NAIVE_PROPAGATION): every
-  /// domain change wakes every watcher, linear sums are recomputed from
-  /// scratch, entailed propagators keep running. The fixpoints — and hence
-  /// the search tree and every solution trace — are identical to the
-  /// event-typed engine; only the `solve.propagations`-family effort
-  /// metrics differ. Kept as the reference mode for the confluence sweep
-  /// and the CI propagation-ratio gate.
-  bool naive_propagation = false;
 };
 
 /// How Instance::Solve runs (SolveRequest::mode).
@@ -101,8 +93,7 @@ enum class SolveMode : uint8_t {
                  ///< of the SOLVER_INCREMENTAL knob.
 };
 
-/// \brief One solve request — the single entry point Instance::Solve takes
-/// (collapsing the historical InvokeSolver / InvokeSolverBatched pair).
+/// \brief One solve request — the single entry point Instance::Solve takes.
 struct SolveRequest {
   SolveMode mode = SolveMode::kFull;
   /// Decision-group key prefix for kBatched/kIncremental (see

@@ -201,7 +201,7 @@ class Model {
     /// each re-searching from the root (solver/sync.h SubproblemQueue).
     /// 0 disables (the pre-existing race/walk behaviour).
     int subproblems = 0;
-    /// Naive-propagation reference mode (the SOLVER_NAIVE_PROPAGATION knob):
+    /// Naive-propagation reference mode, a test oracle (not a Colog knob):
     /// run the legacy flat-FIFO scheduler with full-recompute propagators —
     /// no event filtering, no incremental aggregates, no entailment
     /// unsubscription — reproducing the pre-event-engine propagation counts

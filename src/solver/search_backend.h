@@ -2,9 +2,11 @@
 //
 // The paper treats the solver as a black box invoked once per invokeSolver
 // event (Sections 4.2/5.3); this interface makes the strategy behind that
-// black box swappable. Two backends ship today: the complete copy-based
-// depth-first branch-and-bound (search.cc, optionally with Luby restarts)
-// and an anytime Large Neighborhood Search (lns.cc).
+// black box swappable. Five backends ship today (solver::Backend): the
+// complete trailed depth-first branch-and-bound (search.cc, optionally with
+// Luby restarts), an anytime Large Neighborhood Search (lns.cc), a
+// shift/swap local search (local_search.cc), and the concurrent portfolio
+// and parallel LNS (portfolio.cc).
 #ifndef COLOGNE_SOLVER_SEARCH_BACKEND_H_
 #define COLOGNE_SOLVER_SEARCH_BACKEND_H_
 

@@ -3,10 +3,16 @@
 // (d2 -> d21/d22).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+
 #include "colog/analysis.h"
 #include "colog/parser.h"
 #include "colog/codegen.h"
+#include "colog/knobs.h"
 #include "colog/planner.h"
+#include "runtime/solver_bridge.h"
+#include "runtime/system.h"
 
 namespace cologne::colog {
 namespace {
@@ -315,7 +321,7 @@ TEST(SolverKnobsTest, KnobsExtractedIntoCompiledProgram) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const SolverKnobsIR& knobs = r.value().knobs;
   ASSERT_TRUE(knobs.backend.has_value());
-  EXPECT_EQ(*knobs.backend, "lns");
+  EXPECT_EQ(*knobs.backend, solver::Backend::kLns);
   ASSERT_TRUE(knobs.max_time_ms.has_value());
   EXPECT_DOUBLE_EQ(*knobs.max_time_ms, 750);
   ASSERT_TRUE(knobs.seed.has_value());
@@ -332,7 +338,7 @@ TEST(SolverKnobsTest, ConcurrentBackendSpellingsAccepted) {
                           "\".\ngoal satisfy.\n");
     ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
     ASSERT_TRUE(r.value().knobs.backend.has_value());
-    EXPECT_EQ(*r.value().knobs.backend, name);
+    EXPECT_STREQ(solver::BackendName(*r.value().knobs.backend), name);
   }
 }
 
@@ -398,6 +404,112 @@ TEST(SolverKnobsTest, NetReliableKnobExtractedAndValidated) {
   }
   // Valueless reserved knobs are rejected by the parser.
   EXPECT_FALSE(CompileColog("param NET_RELIABLE.\ngoal satisfy.\n").ok());
+}
+
+// --- The knob table, row by row --------------------------------------------
+
+// One accepted literal per knob type and the value it must resolve to. The
+// values differ from the runtime defaults, so a knob that does not land
+// shows up as a mismatch.
+struct Accepted {
+  std::string literal;
+  int64_t resolved;
+};
+Accepted AcceptedValue(const KnobSpec& knob) {
+  switch (knob.type()) {
+    case KnobType::kFlag:
+      return {"1", 1};
+    case KnobType::kInt:
+      return {std::to_string(knob.min + 1), knob.min + 1};
+    case KnobType::kPositiveMs:
+      return {"250", 250};
+    case KnobType::kBackend:
+      return {"\"lns\"", static_cast<int64_t>(solver::Backend::kLns)};
+  }
+  return {};
+}
+
+// Literals the knob must reject: one out of range, one of the wrong type.
+std::vector<std::string> RejectedValues(const KnobSpec& knob) {
+  switch (knob.type()) {
+    case KnobType::kFlag:
+      return {"2", "\"1\""};
+    case KnobType::kInt:
+      return {knob.max == std::numeric_limits<int64_t>::max()
+                  ? std::to_string(knob.min - 1)
+                  : std::to_string(knob.max + 1),
+              "\"1\""};
+    case KnobType::kPositiveMs:
+      return {"0", "\"250\""};
+    case KnobType::kBackend:
+      return {"\"lsn\"", "1"};
+  }
+  return {};
+}
+
+TEST(KnobTableTest, EveryKnobResolvesAndRejectsByName) {
+  // Where each knob's value ends up at runtime, read back as an integer.
+  // Every table row needs an entry, so a knob that is declared but never
+  // applied fails here.
+  using runtime::SolveOptions;
+  using runtime::System;
+  using O = const SolveOptions&;
+  using Reader = std::function<int64_t(O, System&)>;
+  const std::map<std::string, Reader> readers = {
+      {"SOLVER_MAX_TIME",
+       [](O o, System&) -> int64_t { return o.time_limit_ms; }},
+      {"SOLVER_BACKEND",
+       [](O o, System&) { return static_cast<int64_t>(o.backend); }},
+      {"SOLVER_SEED", [](O o, System&) -> int64_t { return o.seed; }},
+      {"SOLVER_RESTARTS",
+       [](O o, System&) -> int64_t { return o.restart_base_nodes; }},
+      {"SOLVER_WORKERS",
+       [](O o, System&) -> int64_t { return o.num_workers; }},
+      {"NET_RELIABLE",
+       [](O, System& s) -> int64_t { return s.net_reliable(); }},
+      {"OBS_METRICS", [](O, System& s) -> int64_t { return s.obs_metrics(); }},
+      {"SOLVER_INCREMENTAL",
+       [](O o, System&) -> int64_t { return o.incremental; }},
+      {"SOLVER_INCR_THRESHOLD",
+       [](O o, System&) -> int64_t { return o.incr_threshold_pct; }},
+      {"SOLVER_CACHE", [](O o, System&) -> int64_t { return o.cache; }},
+      {"SOLVER_SUBPROBLEMS",
+       [](O o, System&) -> int64_t { return o.subproblems; }},
+  };
+  ASSERT_EQ(KnobTable().size(), readers.size());
+  for (const KnobSpec& knob : KnobTable()) {
+    SCOPED_TRACE(knob.name);
+    ASSERT_EQ(FindKnob(knob.name), &knob);
+    auto reader = readers.find(knob.name);
+    ASSERT_NE(reader, readers.end()) << "no runtime reader";
+
+    const Accepted ok = AcceptedValue(knob);
+    auto prog = CompileColog(std::string("param ") + knob.name + " = " +
+                             ok.literal + ".\ngoal satisfy.\n");
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    EXPECT_EQ(prog.value().params.count(knob.name), 0u);
+    SolveOptions resolved =
+        runtime::ResolveSolveOptions(prog.value(), SolveOptions{});
+    System system(&prog.value(), 1);
+    EXPECT_EQ(reader->second(resolved, system), ok.resolved);
+
+    for (const std::string& bad : RejectedValues(knob)) {
+      auto r = CompileColog(std::string("param ") + knob.name + " = " + bad +
+                            ".\ngoal satisfy.\n");
+      ASSERT_FALSE(r.ok()) << bad;
+      EXPECT_NE(r.status().message().find(knob.name), std::string::npos)
+          << r.status().ToString();
+    }
+  }
+}
+
+TEST(KnobTableTest, NaivePropagationIsNotAKnob) {
+  auto r =
+      CompileColog("param SOLVER_NAIVE_PROPAGATION = 1.\ngoal satisfy.\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("unknown solver knob"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST(ObsDeterminismTest, TwoRunsByteIdenticalWithMetricsOn) {
     cfg.grid_h = 2;
     cfg.num_flows = 2;
     cfg.seed = 43;
-    cfg.solver_backend = "lns";
+    cfg.solver_backend = solver::Backend::kLns;
     cfg.solver_max_iterations = 8;
     cfg.link_solve_ms = 0;
     cfg.obs_metrics = true;

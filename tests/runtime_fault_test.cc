@@ -495,7 +495,7 @@ FtsConfig ScaledFts(uint64_t seed, int num_dcs) {
   cfg.seed = seed;
   cfg.batch_links = true;
   cfg.max_link_batch = 3;
-  cfg.solver_backend = "lns";
+  cfg.solver_backend = solver::Backend::kLns;
   cfg.solver_max_iterations = kScaleIters;
   cfg.solver_time_ms = 0;  // unlimited: the iteration cap is the budget
   return cfg;

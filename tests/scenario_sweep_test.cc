@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "solver_test_util.h"
@@ -43,20 +44,34 @@ TEST(ScenarioGenTest, SingleScenarioMatchesSweepMember) {
   }
 }
 
+// --backends parses at the tool edge: a typo must be rejected by name, not
+// silently run the program's default backend under the typo's label.
+TEST(ScenarioSweepTest, BackendListRejectsUnknownSpelling) {
+  std::vector<solver::Backend> backends;
+  std::string bad;
+  ASSERT_TRUE(ParseBackendList("local_search,lns", &backends, &bad));
+  const std::vector<solver::Backend> want = {solver::Backend::kLocalSearch,
+                                             solver::Backend::kLns};
+  EXPECT_EQ(backends, want);
+  EXPECT_FALSE(ParseBackendList("local_search,lsn", &backends, &bad));
+  EXPECT_EQ(bad, "lsn");
+  EXPECT_FALSE(ParseBackendList("", &backends, &bad));
+}
+
 TEST(ScenarioSweepTest, InvariantsAndDeterminismAcrossBackends) {
   for (const Scenario& s : GenerateScenarios(SweepConfig())) {
-    const ScenarioRun base = RunScenario(s, "portfolio");
+    const ScenarioRun base = RunScenario(s, solver::Backend::kPortfolio);
     ASSERT_TRUE(base.ok) << s.name << ": " << base.error;
     EXPECT_EQ(base.violation, "") << s.name;
 
-    const ScenarioRun run = RunScenario(s, "local_search");
+    const ScenarioRun run = RunScenario(s, solver::Backend::kLocalSearch);
     ASSERT_TRUE(run.ok) << s.name << ": " << run.error;
     EXPECT_EQ(run.violation, "") << s.name;
 
     // Generated scenarios solve wall-clock-free over the reliable
     // transport: a re-run must reproduce objective and trace fingerprint
     // exactly.
-    const ScenarioRun again = RunScenario(s, "local_search");
+    const ScenarioRun again = RunScenario(s, solver::Backend::kLocalSearch);
     ASSERT_TRUE(again.ok) << s.name << ": " << again.error;
     EXPECT_EQ(again.objective, run.objective) << s.name;
     EXPECT_EQ(again.trace_hash, run.trace_hash) << s.name;

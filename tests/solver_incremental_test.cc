@@ -414,19 +414,6 @@ d1 cost(SUM<V>) <- pick(I,V).
             std::string::npos);
 }
 
-// The pre-SolveRequest shims must keep routing through Solve() unchanged.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(IncrementalSolveTest, DeprecatedShimsStillRoute) {
-  auto full = instance_->InvokeSolver();
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_TRUE(full.value().has_solution());
-  auto batched = instance_->InvokeSolverBatched(1);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  EXPECT_EQ(batched.value().model_groups, static_cast<size_t>(kGroups));
-}
-#pragma GCC diagnostic pop
-
 TEST(CommonConfigTest, HelpersMapSharedKnobs) {
   apps::CommonConfig c;
   c.seed = 42;
@@ -439,12 +426,9 @@ TEST(CommonConfigTest, HelpersMapSharedKnobs) {
   EXPECT_TRUE(sys.obs_metrics);
   EXPECT_DOUBLE_EQ(sys.default_link.drop_prob, 0.25);
 
-  c.solver_backend = "lns";
+  c.solver_backend = solver::Backend::kLns;
   c.solver_max_iterations = 9;
   c.solver_incremental = true;
-  c.solver_cache = true;
-  c.solver_subproblems = 8;
-  c.solver_naive_propagation = true;
   SolveOptions base;
   base.time_limit_ms = 123;
   SolveOptions o = apps::OverlaySolveOptions(c, base, /*time_limit_ms=*/-1);
@@ -452,9 +436,6 @@ TEST(CommonConfigTest, HelpersMapSharedKnobs) {
   EXPECT_EQ(o.backend, solver::Backend::kLns);
   EXPECT_EQ(o.max_iterations, 9u);
   EXPECT_TRUE(o.incremental);
-  EXPECT_TRUE(o.cache);
-  EXPECT_EQ(o.subproblems, 8);
-  EXPECT_TRUE(o.naive_propagation);
   o = apps::OverlaySolveOptions(c, base, /*time_limit_ms=*/55);
   EXPECT_DOUBLE_EQ(o.time_limit_ms, 55);
 
@@ -486,7 +467,7 @@ std::string RunFtsIncrementalTrace() {
   cfg.converge_sweeps = 2;
   cfg.batch_links = true;
   cfg.net_reliable = true;
-  cfg.solver_backend = "lns";
+  cfg.solver_backend = solver::Backend::kLns;
   cfg.solver_max_iterations = 8;
   cfg.solver_time_ms = 0;  // iteration-bounded: wall-clock independent
   cfg.solver_incremental = true;

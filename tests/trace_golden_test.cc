@@ -141,7 +141,7 @@ TEST(GoldenTraceTest, FollowTheSunReliableBatched) {
   // wall-clock cap on every CI machine, and a budget-dependent status
   // would leak into the trace. The iteration-capped LNS budget (unlimited
   // wall clock) is deterministic regardless of machine load.
-  cfg.solver_backend = "lns";
+  cfg.solver_backend = solver::Backend::kLns;
   cfg.solver_max_iterations = 16;
   cfg.solver_time_ms = 0;
 
@@ -167,15 +167,10 @@ TEST(GoldenTraceTest, FollowTheSunObsMetrics) {
   cfg.batch_links = true;
   cfg.link_loss_prob = 0.1;
   cfg.converge_sweeps = 1;
-  cfg.solver_backend = "lns";
+  cfg.solver_backend = solver::Backend::kLns;
   cfg.solver_max_iterations = 16;
   cfg.solver_time_ms = 0;
   cfg.obs_metrics = true;
-  // The golden embeds exact propagator-effort counters (solve.propagations,
-  // prop.<kind>), which the event-typed engine reduces by design. Pin the
-  // legacy reference mode so this trace stays byte-stable; search results
-  // are identical either way.
-  cfg.solver_naive_propagation = true;
 
   TraceRecorder trace;
   cfg.trace = &trace;

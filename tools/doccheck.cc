@@ -13,6 +13,9 @@
 //   //! compile-only               only compile (default for @-distributed
 //                                  programs, which need a full System)
 //
+// A file with a "## Reserved runtime knobs" section must list exactly the
+// names of colog::KnobTable() in that section's table, one row each.
+//
 // Usage: doccheck FILE.md [FILE.md ...]; exits non-zero on the first
 // failing block, printing file and line. Wired into ctest and the CI docs
 // job so the examples in docs/colog-reference.md cannot rot.
@@ -21,10 +24,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "colog/knobs.h"
 #include "colog/planner.h"
 #include "common/value.h"
 #include "runtime/instance.h"
@@ -175,6 +180,34 @@ int CheckBlock(const std::string& file, const Block& block) {
   return 0;
 }
 
+// A documented knob row: the backticked name in the first column.
+struct KnobRow {
+  std::string name;
+  int line = 0;
+};
+
+int CheckKnobTable(const std::string& file, int heading_line,
+                   const std::vector<KnobRow>& rows) {
+  int failures = 0;
+  std::set<std::string> seen;
+  for (const KnobRow& row : rows) {
+    if (cologne::colog::FindKnob(row.name) == nullptr) {
+      failures += Fail(file, row.line, "knob table lists " + row.name +
+                                           ", which is not a knob");
+    } else if (!seen.insert(row.name).second) {
+      failures += Fail(file, row.line, "knob " + row.name + " listed twice");
+    }
+  }
+  for (const cologne::colog::KnobSpec& knob : cologne::colog::KnobTable()) {
+    if (seen.count(knob.name) == 0) {
+      failures += Fail(file, heading_line,
+                       std::string("knob table lacks a row for ") + knob.name +
+                           " (" + knob.doc + ")");
+    }
+  }
+  return failures;
+}
+
 int CheckFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -185,9 +218,22 @@ int CheckFile(const std::string& path) {
   int lineno = 0, blocks = 0, failures = 0;
   bool in_block = false;
   Block block;
+  int knob_heading = 0;  // line of "## Reserved runtime knobs"; 0 = none
+  bool in_knob_section = false;
+  std::vector<KnobRow> knob_rows;
   while (std::getline(in, line)) {
     ++lineno;
     std::string t = Trim(line);
+    if (!in_block && t.rfind("## ", 0) == 0) {
+      in_knob_section = t == "## Reserved runtime knobs";
+      if (in_knob_section) knob_heading = lineno;
+    }
+    if (in_knob_section && t.rfind("| `", 0) == 0) {
+      size_t end = t.find('`', 3);
+      if (end != std::string::npos) {
+        knob_rows.push_back({t.substr(3, end - 3), lineno});
+      }
+    }
     if (!in_block) {
       if (t.rfind("```colog", 0) == 0) {
         in_block = true;
@@ -217,6 +263,9 @@ int CheckFile(const std::string& path) {
   if (in_block) {
     fprintf(stderr, "%s: unterminated ```colog block\n", path.c_str());
     return 1;
+  }
+  if (knob_heading > 0) {
+    failures += CheckKnobTable(path, knob_heading, knob_rows);
   }
   printf("%s: %d colog block(s), %d failure(s)\n", path.c_str(), blocks,
          failures);

@@ -18,21 +18,21 @@
 // determinism failure, conservation mismatch, or (with --gate-gap) a p50/p95
 // gap above the gate; each failure prints the scenariogen command that
 // regenerates the offending scenario.
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/scenariogen.h"
 #include "common/json.h"
+#include "common/stats.h"
+#include "common/strings.h"
 
 namespace {
 
 using cologne::JsonWriter;
 using cologne::apps::GenerateScenarios;
+using cologne::apps::ParseBackendList;
 using cologne::apps::ParseScenarioApp;
 using cologne::apps::RunScenario;
 using cologne::apps::Scenario;
@@ -40,6 +40,8 @@ using cologne::apps::ScenarioApp;
 using cologne::apps::ScenarioAppName;
 using cologne::apps::ScenarioGenConfig;
 using cologne::apps::ScenarioRun;
+using cologne::solver::Backend;
+using cologne::solver::BackendName;
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -51,26 +53,13 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    size_t comma = csv.find(',', start);
-    items.push_back(csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return items;
-}
-
 // The one-command reproduction line every failure prints.
-void PrintRepro(const Scenario& s, const std::string& backend,
-                const char* what, const std::string& detail) {
+void PrintRepro(const Scenario& s, Backend backend, const char* what,
+                const std::string& detail) {
   std::fprintf(stderr,
                "scenario_sweep: %s: scenario=%s backend=%s seed=%llu: %s\n"
                "  reproduce: scenariogen --app %s --scenario-seed %llu\n",
-               what, s.name.c_str(), backend.c_str(),
+               what, s.name.c_str(), BackendName(backend),
                static_cast<unsigned long long>(s.seed), detail.c_str(),
                ScenarioAppName(s.app),
                static_cast<unsigned long long>(s.seed));
@@ -82,22 +71,12 @@ double Gap(double objective, double baseline) {
   return (objective + 1.0) / (baseline + 1.0);
 }
 
-double Percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0;
-  std::sort(xs.begin(), xs.end());
-  double rank = p * static_cast<double>(xs.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, xs.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ScenarioGenConfig config;
   config.count = 30;
-  std::vector<std::string> backends = {"local_search", "lns"};
+  std::vector<Backend> backends = {Backend::kLocalSearch, Backend::kLns};
   std::string out_path = "BENCH_scenarios.json";
   double gate_gap = 0;  // 0 = report only
 
@@ -118,7 +97,7 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       config.apps.clear();
-      for (const std::string& name : SplitCsv(v)) {
+      for (const std::string& name : cologne::Split(v, ',')) {
         ScenarioApp app;
         if (!ParseScenarioApp(name, &app)) {
           std::fprintf(stderr, "scenario_sweep: unknown app \"%s\"\n",
@@ -131,8 +110,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--backends") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      backends = SplitCsv(v);
-      if (backends.empty()) return Usage(argv[0]);
+      std::string bad;
+      if (!ParseBackendList(v, &backends, &bad)) {
+        std::fprintf(stderr, "scenario_sweep: unknown backend \"%s\"\n",
+                     bad.c_str());
+        return Usage(argv[0]);
+      }
     } else if (arg == "--iterations") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -165,16 +148,17 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> gaps(backends.size());
 
   for (const Scenario& s : scenarios) {
-    ScenarioRun base = RunScenario(s, "portfolio");
+    ScenarioRun base = RunScenario(s, Backend::kPortfolio);
     if (!base.ok) {
       ++failures;
-      PrintRepro(s, "portfolio", "driver error", base.error);
+      PrintRepro(s, Backend::kPortfolio, "driver error", base.error);
       continue;
     }
     if (!base.violation.empty()) {
       ++failures;
       ++violations;
-      PrintRepro(s, "portfolio", "invariant violation", base.violation);
+      PrintRepro(s, Backend::kPortfolio, "invariant violation",
+                 base.violation);
     }
     {
       JsonWriter w;
@@ -182,7 +166,7 @@ int main(int argc, char** argv) {
       w.Key("scenario").String(s.name);
       w.Key("app").String(ScenarioAppName(s.app));
       w.Key("seed").UInt(s.seed);
-      w.Key("backend").String("portfolio");
+      w.Key("backend").String(BackendName(Backend::kPortfolio));
       w.Key("objective").Double(base.objective);
       w.Key("gap").Double(1.0);
       w.Key("solves").Int(base.solves);
@@ -192,7 +176,7 @@ int main(int argc, char** argv) {
     }
 
     for (size_t b = 0; b < backends.size(); ++b) {
-      const std::string& backend = backends[b];
+      const Backend backend = backends[b];
       ScenarioRun run = RunScenario(s, backend);
       bool deterministic = true;
       if (!run.ok) {
@@ -236,7 +220,7 @@ int main(int argc, char** argv) {
       w.Key("scenario").String(s.name);
       w.Key("app").String(ScenarioAppName(s.app));
       w.Key("seed").UInt(s.seed);
-      w.Key("backend").String(backend);
+      w.Key("backend").String(BackendName(backend));
       w.Key("objective").Double(run.objective);
       w.Key("gap").Double(gap);
       w.Key("solves").Int(run.solves);
@@ -249,12 +233,12 @@ int main(int argc, char** argv) {
 
   bool gate_failed = false;
   for (size_t b = 0; b < backends.size(); ++b) {
-    const double p50 = Percentile(gaps[b], 0.50);
-    const double p95 = Percentile(gaps[b], 0.95);
+    const double p50 = cologne::Percentile(gaps[b], 50);
+    const double p95 = cologne::Percentile(gaps[b], 95);
     JsonWriter w;
     w.BeginObject();
     w.Key("summary").Bool(true);
-    w.Key("backend").String(backends[b]);
+    w.Key("backend").String(BackendName(backends[b]));
     w.Key("scenarios").Int(static_cast<int64_t>(gaps[b].size()));
     w.Key("violations").Int(violations);
     w.Key("p50_gap").Double(p50);
@@ -263,13 +247,13 @@ int main(int argc, char** argv) {
     std::fprintf(out, "%s\n", w.Take().c_str());
     std::fprintf(stderr, "scenario_sweep: %s: %zu scenarios, p50 gap %.4f, "
                          "p95 gap %.4f\n",
-                 backends[b].c_str(), gaps[b].size(), p50, p95);
+                 BackendName(backends[b]), gaps[b].size(), p50, p95);
     if (gate_gap > 0 && (p50 > gate_gap || p95 > gate_gap)) {
       gate_failed = true;
       std::fprintf(stderr,
                    "scenario_sweep: %s gap gate failed (p50 %.4f / p95 %.4f "
                    "> %.2f)\n",
-                   backends[b].c_str(), p50, p95, gate_gap);
+                   BackendName(backends[b]), p50, p95, gate_gap);
     }
   }
   std::fclose(out);
