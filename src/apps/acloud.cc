@@ -142,6 +142,24 @@ int ACloudScenario::RunHeuristic(int dc) {
   return migrations;
 }
 
+Status SyncBaseFacts(runtime::Instance* inst, const std::string& table,
+                     const std::set<Row>& want) {
+  const datalog::Table* t = inst->engine().GetTable(table);
+  if (t == nullptr) return Status::NotFound("unknown table: " + table);
+  for (const Row& row : t->Rows()) {
+    if (want.count(row)) continue;
+    for (int64_t n = t->CountOf(row); n > 0; --n) {
+      COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(table, row, -1));
+    }
+  }
+  for (const Row& row : want) {
+    if (!t->Contains(row)) {
+      COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(table, row, +1));
+    }
+  }
+  return Status::OK();
+}
+
 Result<int> ACloudScenario::RunCologne(int dc, runtime::Instance* inst,
                                        ACloudInterval* m) {
   int lo_host = dc * config_.hosts_per_dc;
@@ -162,9 +180,10 @@ Result<int> ACloudScenario::RunCologne(int dc, runtime::Instance* inst,
     }
   }
 
-  // Refresh facts (keyed tables replace rows in place). Stale vm/origin rows
-  // for VMs that left the filter are deleted via table diff below.
-  std::set<Row> want_vm, want_origin;
+  // Refresh facts through the instance's durable journal (ApplyFact), so a
+  // crashed DC rebuilds its last-known workload on restart. VMs that fell
+  // under the filter leave vm/origin entirely.
+  std::set<Row> want_vm, want_origin, want_host, want_thres;
   for (size_t i : movable) {
     const Vm& vm = vms_[i];
     want_vm.insert({Value::Int(vm.id),
@@ -172,32 +191,16 @@ Result<int> ACloudScenario::RunCologne(int dc, runtime::Instance* inst,
                     Value::Int(config_.vm_mem_gb)});
     want_origin.insert({Value::Int(vm.id), Value::Int(vm.host)});
   }
-  // Fact refresh goes through the instance's durable journal (ApplyFact), so
-  // a crashed DC rebuilds its last-known workload on restart.
-  for (const std::string& table : {std::string("vm"), std::string("origin")}) {
-    const auto& want = table == "vm" ? want_vm : want_origin;
-    for (const Row& row : eng.GetTable(table)->Rows()) {
-      // Delete rows whose key (Vid) is no longer wanted; keyed replacement
-      // handles changed rows on insert.
-      bool keep = false;
-      for (const Row& w : want) {
-        if (w[0] == row[0]) keep = true;
-      }
-      if (!keep) COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(table, row, -1));
-    }
-    for (const Row& row : want) {
-      COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(table, row, +1));
-    }
-  }
   for (int h = lo_host; h < hi_host; ++h) {
-    COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(
-        "host",
-        {Value::Int(h), Value::Int(residual[static_cast<size_t>(h)]),
-         Value::Int(0)},
-        +1));
-    COLOGNE_RETURN_IF_ERROR(inst->ApplyFact(
-        "hostMemThres", {Value::Int(h), Value::Int(config_.host_mem_gb)}, +1));
+    want_host.insert({Value::Int(h),
+                      Value::Int(residual[static_cast<size_t>(h)]),
+                      Value::Int(0)});
+    want_thres.insert({Value::Int(h), Value::Int(config_.host_mem_gb)});
   }
+  COLOGNE_RETURN_IF_ERROR(SyncBaseFacts(inst, "vm", want_vm));
+  COLOGNE_RETURN_IF_ERROR(SyncBaseFacts(inst, "origin", want_origin));
+  COLOGNE_RETURN_IF_ERROR(SyncBaseFacts(inst, "host", want_host));
+  COLOGNE_RETURN_IF_ERROR(SyncBaseFacts(inst, "hostMemThres", want_thres));
   COLOGNE_RETURN_IF_ERROR(inst->Flush());
 
   if (movable.empty()) return 0;

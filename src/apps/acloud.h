@@ -5,6 +5,7 @@
 #define COLOGNE_APPS_ACLOUD_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,13 @@ struct ACloudInterval {
   /// True on the interval where a crashed instance rebuilt and rejoined.
   bool recovered = false;
 };
+
+/// Journal (Instance::ApplyFact, no flush) the deltas that make the visible
+/// rows of base table `table` exactly `want`: every other visible row is
+/// retracted with all its derivation counts, and only rows not yet visible
+/// are inserted, so repeated refreshes never raise a count.
+Status SyncBaseFacts(runtime::Instance* inst, const std::string& table,
+                     const std::set<Row>& want);
 
 /// \brief Trace replay of the ACloud workload under one policy.
 class ACloudScenario {

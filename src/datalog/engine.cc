@@ -7,6 +7,23 @@
 
 namespace cologne::datalog {
 
+std::vector<GuardInfo> CompileGuards(const RuleIR& rule) {
+  std::vector<GuardInfo> guards;
+  guards.reserve(rule.sels.size() + rule.assigns.size());
+  for (size_t i = 0; i < rule.sels.size(); ++i) {
+    GuardInfo& g = guards.emplace_back();
+    g.index = i;
+    rule.sels[i].expr.CollectSlots(&g.deps);
+  }
+  for (size_t i = 0; i < rule.assigns.size(); ++i) {
+    GuardInfo& g = guards.emplace_back();
+    g.is_assign = true;
+    g.index = i;
+    rule.assigns[i].expr.CollectSlots(&g.deps);
+  }
+  return guards;
+}
+
 Status Engine::DeclareTable(const TableSchema& schema) {
   if (tables_.count(schema.name)) {
     return Status::AlreadyExists("table already declared: " + schema.name);
@@ -46,30 +63,13 @@ Status Engine::AddRule(RuleIR rule) {
   }
   size_t rule_idx = rules_.size();
 
-  // Precompute guard dependency info (selections + assignments).
-  std::vector<GuardInfo> guards;
-  for (size_t i = 0; i < rule.sels.size(); ++i) {
-    GuardInfo g;
-    g.is_assign = false;
-    g.index = i;
-    rule.sels[i].expr.CollectSlots(&g.deps);
-    guards.push_back(std::move(g));
-  }
-  for (size_t i = 0; i < rule.assigns.size(); ++i) {
-    GuardInfo g;
-    g.is_assign = true;
-    g.index = i;
-    rule.assigns[i].expr.CollectSlots(&g.deps);
-    guards.push_back(std::move(g));
-  }
-
   for (size_t i = 0; i < rule.body.size(); ++i) {
     if (rule.trigger[i]) {
       triggers_[rule.body[i].table].push_back({rule_idx, i});
     }
   }
   agg_states_.push_back(rule.agg ? std::make_unique<AggState>() : nullptr);
-  guards_.push_back(std::move(guards));
+  guards_.push_back(CompileGuards(rule));
   rules_.push_back(std::move(rule));
   return Status::OK();
 }

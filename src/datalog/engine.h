@@ -25,6 +25,18 @@ struct EngineStats {
   uint64_t tuples_sent = 0;       ///< Tuples routed to remote nodes.
 };
 
+/// A rule's selection or assignment with the slots it reads: the guard is
+/// ready to run once every slot in `deps` is bound.
+struct GuardInfo {
+  bool is_assign = false;
+  size_t index = 0;       ///< Into RuleIR::sels or RuleIR::assigns.
+  std::vector<int> deps;  ///< Slots that must be bound first.
+};
+
+/// The guards of `rule` in evaluation order: selections, then assignments.
+/// Shared by the engine's joins and the solver bridge's.
+std::vector<GuardInfo> CompileGuards(const RuleIR& rule);
+
 /// \brief One node's rule processor.
 ///
 /// Facts enter through Apply() (from the application or from the network);
@@ -128,11 +140,6 @@ class Engine {
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::vector<RuleIR> rules_;
   // Precomputed per rule: slots needed by each guard (selection/assignment).
-  struct GuardInfo {
-    bool is_assign;
-    size_t index;              // into rule.sels or rule.assigns
-    std::vector<int> deps;     // slots that must be bound first
-  };
   std::vector<std::vector<GuardInfo>> guards_;
   std::map<std::string, std::vector<TriggerRef>> triggers_;
   std::map<std::string, std::vector<WatchFn>> watchers_;

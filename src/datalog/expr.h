@@ -87,6 +87,13 @@ struct Expr {
 /// promotes to double; comparisons yield Int(0/1).
 Result<Value> EvalExpr(const Expr& e, const std::vector<Value>& slots);
 
+/// Apply one operator to concrete operands, with EvalExpr's semantics:
+/// the unary form takes kNeg/kAbs/kNot; the binary form takes arithmetic,
+/// comparisons and kAnd/kOr (both operands already evaluated, so no
+/// short-circuit).
+Result<Value> EvalOp(ExprOp op, const Value& a);
+Result<Value> EvalOp(ExprOp op, const Value& a, const Value& b);
+
 /// Truthiness of a concrete value (nonzero numeric).
 bool ValueIsTrue(const Value& v);
 

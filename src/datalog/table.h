@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <map>
+#include <ranges>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -79,6 +80,10 @@ class Table {
 
   /// Snapshot of visible rows (sorted for deterministic iteration).
   std::vector<Row> Rows() const;
+
+  /// The visible rows in Rows() order, read in place without a snapshot.
+  /// The view is invalidated by the next mutation (Apply() or EraseAll()).
+  auto VisibleRows() const { return std::views::keys(visible_); }
 
   /// Rows whose values at `cols` equal `key` (in the same order). With empty
   /// `cols` this returns all visible rows. Builds a hash index per distinct

@@ -88,9 +88,15 @@ struct SVal {
 // `sym_exprs` and referenced from rows via Value::Sym(index). In concrete
 // mode (the post-solution pass), every cell is a plain value and aggregates
 // use the engine's concrete aggregate functions (so STDEV etc. are exact).
+//
+// The body join reads every table in place and binds one slot array for the
+// whole rule: a slot points at the row cell that bound it, or at its own
+// storage for a value a guard computed. Each binding and each guard that ran
+// is logged, and backtracking unwinds the log to the mark taken before the
+// row.
 class BridgeEval {
  public:
-  BridgeEval(const CompiledProgram* program, datalog::Engine* engine,
+  BridgeEval(const CompiledProgram* program, const datalog::Engine* engine,
              Model* model /* nullptr => concrete mode */)
       : program_(program), engine_(engine), model_(model) {}
 
@@ -109,7 +115,7 @@ class BridgeEval {
   const std::vector<VarRow>& var_rows() const { return var_rows_; }
 
   // ---- Variable instantiation (symbolic mode) -----------------------------
-  Status InstantiateVars(std::vector<std::pair<IntVar, Value*>>* var_cells) {
+  Status InstantiateVars() {
     for (const VarDeclIR& decl : program_->var_decls) {
       const datalog::Table* forall = engine_->GetTable(decl.forall_table);
       if (forall == nullptr) {
@@ -118,7 +124,7 @@ class BridgeEval {
       }
       std::set<Row> seen;  // dedupe identical regular projections
       auto& out = tables_[decl.var_table];
-      for (const Row& frow : forall->Rows()) {
+      for (const Row& frow : forall->VisibleRows()) {
         Row key;
         for (int src : decl.from_forall_col) {
           if (src >= 0) key.push_back(frow[static_cast<size_t>(src)]);
@@ -142,17 +148,6 @@ class BridgeEval {
         var_rows_.push_back(std::move(vrow));
         out.push_back(std::move(row));
       }
-      if (var_cells != nullptr) {
-        for (Row& row : out) {
-          for (Value& cell : row) {
-            if (cell.is_sym()) {
-              const LinExpr& e = sym_exprs_[static_cast<size_t>(cell.sym_index())];
-              // Freshly created: single 1*v term.
-              var_cells->push_back({e.terms[0].second, &cell});
-            }
-          }
-        }
-      }
     }
     return Status::OK();
   }
@@ -163,35 +158,39 @@ class BridgeEval {
   }
 
   // ---- Rule evaluation ------------------------------------------------------
-  Status EvalRule(const SolverRuleIR& srule) {
+  Status EvalRule(const SolverRuleIR& srule, const SolverRulePlan& plan) {
     const RuleIR& rule = srule.ir;
     if (srule.is_constraint && !symbolic()) return Status::OK();
 
     cur_rule_ = &rule;
+    cur_plan_ = &plan;
     cur_constraint_ = srule.is_constraint;
     agg_groups_.clear();
-
-    std::vector<Value> slots(static_cast<size_t>(rule.num_slots));
-    std::vector<char> guards_done(rule.sels.size() + rule.assigns.size(), 0);
+    slots_.assign(static_cast<size_t>(rule.num_slots), nullptr);
+    owned_.resize(static_cast<size_t>(rule.num_slots));
+    done_.assign(plan.guards.size(), 0);
+    bound_.clear();
+    fired_.clear();
+    sources_.clear();
+    for (const AtomIR& atom : rule.body) {
+      sources_.push_back(SourceOf(atom.table));
+    }
 
     if (srule.is_constraint) {
       // Head is a pattern over an existing table: every row must satisfy the
       // body.
-      std::vector<Row> head_rows = RowsOf(rule.head.table);
-      for (const Row& hrow : head_rows) {
-        std::vector<Value> s = slots;
-        std::vector<char> g = guards_done;
-        std::vector<int> bound;
-        COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(rule.head, hrow, s, &bound));
-        if (!ok) continue;
-        COLOGNE_RETURN_IF_ERROR(JoinBody(rule, 0, s, g, nullptr));
-      }
-      return Status::OK();
+      return SourceOf(rule.head.table).ForEach([&](const Row& hrow) -> Status {
+        const Mark mark = Here();
+        COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(rule.head, hrow));
+        if (ok) COLOGNE_RETURN_IF_ERROR(JoinBody(0, nullptr));
+        Unwind(mark);
+        return Status::OK();
+      });
     }
 
     // Derivation rule: full join over the body, emitting head rows.
     std::vector<Row> emitted;
-    COLOGNE_RETURN_IF_ERROR(JoinBody(rule, 0, slots, guards_done, &emitted));
+    COLOGNE_RETURN_IF_ERROR(JoinBody(0, &emitted));
     auto& out = tables_[rule.head.table];
 
     if (rule.agg) {
@@ -222,16 +221,21 @@ class BridgeEval {
   // a channel) — the solve then degrades to pure satisfaction.
   Result<SVal> GoalValue() {
     const auto& goal = program_->goal;
-    std::vector<Row> rows = RowsOf(goal.table);
-    if (rows.empty()) {
+    const Row* first = nullptr;
+    size_t rows = 0;
+    (void)SourceOf(goal.table).ForEach([&](const Row& row) {
+      if (rows++ == 0) first = &row;
+      return Status::OK();
+    });
+    if (rows == 0) {
       return SVal::Concrete(Value::Int(0));
     }
-    if (rows.size() > 1) {
+    if (rows > 1) {
       return Status::SolverError(
           StrFormat("goal table %s has %zu rows; expected a single row",
-                    goal.table.c_str(), rows.size()));
+                    goal.table.c_str(), rows));
     }
-    return ToSVal(rows[0][static_cast<size_t>(goal.col)]);
+    return ToSVal((*first)[static_cast<size_t>(goal.col)]);
   }
 
   const LinExpr& SymExpr(int32_t idx) const {
@@ -244,13 +248,70 @@ class BridgeEval {
   }
 
  private:
-  // Rows of a table: bridge-local solver table first, engine table otherwise.
-  std::vector<Row> RowsOf(const std::string& name) {
+  // Where an atom's rows come from, resolved once per rule evaluation: the
+  // bridge-local solver table, else the engine table read in place (in
+  // Rows() order), else nothing. Neither changes during a rule's join: the
+  // rule's own output is appended only after it.
+  struct RowSource {
+    const std::vector<Row>* local = nullptr;
+    const datalog::Table* engine = nullptr;
+
+    template <typename Fn>
+    Status ForEach(Fn&& fn) const {
+      if (local != nullptr) {
+        for (const Row& row : *local) COLOGNE_RETURN_IF_ERROR(fn(row));
+      } else if (engine != nullptr) {
+        for (const Row& row : engine->VisibleRows()) {
+          COLOGNE_RETURN_IF_ERROR(fn(row));
+        }
+      }
+      return Status::OK();
+    }
+  };
+
+  RowSource SourceOf(const std::string& name) const {
     auto it = tables_.find(name);
-    if (it != tables_.end()) return it->second;
-    const datalog::Table* t = engine_->GetTable(name);
-    if (t == nullptr) return {};
-    return t->Rows();
+    if (it != tables_.end()) return {&it->second, nullptr};
+    return {nullptr, engine_->GetTable(name)};
+  }
+
+  // Undo-log positions; Unwind(mark) restores the bindings and guard flags
+  // in force when Here() returned it.
+  struct Mark {
+    size_t bound;
+    size_t fired;
+  };
+  Mark Here() const { return {bound_.size(), fired_.size()}; }
+  void Unwind(Mark mark) {
+    for (; bound_.size() > mark.bound; bound_.pop_back()) {
+      slots_[static_cast<size_t>(bound_.back())] = nullptr;
+    }
+    for (; fired_.size() > mark.fired; fired_.pop_back()) {
+      done_[fired_.back()] = 0;
+    }
+  }
+  // `cell` must outlive the rule's join: a row of a table the join reads.
+  void Bind(int slot, const Value* cell) {
+    slots_[static_cast<size_t>(slot)] = cell;
+    bound_.push_back(slot);
+  }
+  void BindOwned(int slot, Value v) {
+    Value& own = owned_[static_cast<size_t>(slot)];
+    own = std::move(v);
+    Bind(slot, &own);
+  }
+  // The slot's value; Null while unbound.
+  const Value& SlotValue(int slot) const {
+    static const Value kUnbound;
+    const Value* v = slots_[static_cast<size_t>(slot)];
+    return v == nullptr ? kUnbound : *v;
+  }
+  bool Unbound(int slot) const { return SlotValue(slot).is_null(); }
+  bool Ready(const std::vector<int>& deps) const {
+    for (int d : deps) {
+      if (Unbound(d)) return false;
+    }
+    return true;
   }
 
   int32_t Register(LinExpr e) {
@@ -278,8 +339,7 @@ class BridgeEval {
   // unify: in constraint rules a clash posts an equality constraint; in
   // derivation rules it is an error (joins on solver attributes are
   // disallowed, Section 5.3).
-  Result<bool> MatchAtom(const AtomIR& atom, const Row& row,
-                         std::vector<Value>& slots, std::vector<int>* bound) {
+  Result<bool> MatchAtom(const AtomIR& atom, const Row& row) {
     for (size_t i = 0; i < atom.args.size(); ++i) {
       const TermIR& term = atom.args[i];
       const Value& v = row[i];
@@ -287,10 +347,9 @@ class BridgeEval {
       if (term.is_const) {
         test = &term.const_val;
       } else {
-        Value& s = slots[static_cast<size_t>(term.slot)];
+        const Value& s = SlotValue(term.slot);
         if (s.is_null()) {
-          s = v;
-          if (bound) bound->push_back(term.slot);
+          Bind(term.slot, &v);
           continue;
         }
         test = &s;
@@ -316,113 +375,88 @@ class BridgeEval {
   }
 
   // ---- Body join ------------------------------------------------------------
-  Status JoinBody(const RuleIR& rule, size_t depth, std::vector<Value>& slots,
-                  std::vector<char>& guards_done, std::vector<Row>* emitted) {
-    COLOGNE_ASSIGN_OR_RETURN(alive, RunGuards(rule, slots, guards_done));
+  Status JoinBody(size_t depth, std::vector<Row>* emitted) {
+    COLOGNE_ASSIGN_OR_RETURN(alive, RunGuards());
     if (!alive) return Status::OK();
-    if (depth == rule.body.size()) {
-      return Emit(rule, slots, emitted);
-    }
-    const AtomIR& atom = rule.body[depth];
-    std::vector<Row> rows = RowsOf(atom.table);
-    for (const Row& row : rows) {
-      std::vector<Value> s = slots;
-      std::vector<char> g = guards_done;
-      COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(atom, row, s, nullptr));
-      if (!ok) continue;
-      COLOGNE_RETURN_IF_ERROR(JoinBody(rule, depth + 1, s, g, emitted));
-    }
-    return Status::OK();
+    if (depth == cur_rule_->body.size()) return Emit(emitted);
+    const AtomIR& atom = cur_rule_->body[depth];
+    return sources_[depth].ForEach([&](const Row& row) -> Status {
+      const Mark mark = Here();
+      COLOGNE_ASSIGN_OR_RETURN(ok, MatchAtom(atom, row));
+      if (ok) COLOGNE_RETURN_IF_ERROR(JoinBody(depth + 1, emitted));
+      Unwind(mark);
+      return Status::OK();
+    });
   }
 
-  // Run ready guards; Result<false> = a selection filtered this branch out.
-  Result<bool> RunGuards(const RuleIR& rule, std::vector<Value>& slots,
-                         std::vector<char>& done) {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (size_t i = 0; i < rule.sels.size(); ++i) {
-        if (done[i]) continue;
-        COLOGNE_ASSIGN_OR_RETURN(state, TrySelection(rule.sels[i].expr, slots));
-        if (state == GuardState::kNotReady) continue;
-        if (state == GuardState::kFailed) return false;
-        done[i] = 1;
-        progress = true;
-      }
-      for (size_t i = 0; i < rule.assigns.size(); ++i) {
-        size_t gi = rule.sels.size() + i;
-        if (done[gi]) continue;
-        const auto& as = rule.assigns[i];
-        if (!Ready(as.expr, slots)) continue;
-        COLOGNE_ASSIGN_OR_RETURN(v, Eval(as.expr, slots));
-        Value& target = slots[static_cast<size_t>(as.slot)];
-        Value newv = FromSVal(v);
-        if (target.is_null()) {
-          target = newv;
-        } else if (!(target == newv)) {
-          return false;
+  // Run ready guards (selections, then assignments) in passes until a pass
+  // binds no slot: readiness depends only on which slots are bound.
+  // Result<false> = a selection or a `:=` re-binding filtered this branch.
+  Result<bool> RunGuards() {
+    const std::vector<datalog::GuardInfo>& guards = cur_plan_->guards;
+    size_t bound_before;
+    do {
+      bound_before = bound_.size();
+      for (size_t g = 0; g < guards.size(); ++g) {
+        if (done_[g]) continue;
+        const datalog::GuardInfo& info = guards[g];
+        if (info.is_assign) {
+          if (!Ready(info.deps)) continue;
+          const auto& as = cur_rule_->assigns[info.index];
+          COLOGNE_ASSIGN_OR_RETURN(v, Eval(as.expr));
+          Value newv = FromSVal(v);
+          if (Unbound(as.slot)) {
+            BindOwned(as.slot, std::move(newv));
+          } else if (!(SlotValue(as.slot) == newv)) {
+            return false;
+          }
+        } else {
+          COLOGNE_ASSIGN_OR_RETURN(state, TrySelection(info));
+          if (state == GuardState::kNotReady) continue;
+          if (state == GuardState::kFailed) return false;
         }
-        done[gi] = 1;
-        progress = true;
+        done_[g] = 1;
+        fired_.push_back(g);
       }
-    }
+    } while (bound_.size() > bound_before);
     return true;
   }
 
   enum class GuardState { kNotReady, kPassed, kFailed };
-
-  static bool Ready(const Expr& e, const std::vector<Value>& slots) {
-    std::vector<int> deps;
-    e.CollectSlots(&deps);
-    for (int d : deps) {
-      if (slots[static_cast<size_t>(d)].is_null()) return false;
-    }
-    return true;
-  }
-
-  // Collect unbound slots of an expression.
-  static void UnboundSlots(const Expr& e, const std::vector<Value>& slots,
-                           std::vector<int>* out) {
-    std::vector<int> deps;
-    e.CollectSlots(&deps);
-    for (int d : deps) {
-      if (slots[static_cast<size_t>(d)].is_null()) out->push_back(d);
-    }
-  }
 
   // Selection handling with the binding forms of Section 5.3:
   //   X == expr                (X unbound)    bind X to the expression
   //   (X == k) == boolexpr     (X unbound)    bind X := k * [boolexpr]
   //   boolexpr == (X == k)     symmetric
   // plus plain filtering / hard-constraint posting.
-  Result<GuardState> TrySelection(const Expr& e, std::vector<Value>& slots) {
+  Result<GuardState> TrySelection(const datalog::GuardInfo& info) {
+    const Expr& e = cur_rule_->sels[info.index].expr;
     if (e.op == ExprOp::kEq) {
-      const Expr& l = e.kids[0];
-      const Expr& r = e.kids[1];
+      const auto& side_deps = cur_plan_->eq_sides[info.index];
       // Form 1: bare unbound slot on one side.
       for (int side = 0; side < 2; ++side) {
-        const Expr& a = side == 0 ? l : r;
-        const Expr& b = side == 0 ? r : l;
-        if (a.op == ExprOp::kSlot &&
-            slots[static_cast<size_t>(a.slot)].is_null()) {
-          if (!Ready(b, slots)) return GuardState::kNotReady;
-          COLOGNE_ASSIGN_OR_RETURN(v, Eval(b, slots));
-          slots[static_cast<size_t>(a.slot)] = FromSVal(v);
+        const Expr& a = e.kids[static_cast<size_t>(side)];
+        const Expr& b = e.kids[static_cast<size_t>(1 - side)];
+        if (a.op == ExprOp::kSlot && Unbound(a.slot)) {
+          if (!Ready(side_deps[static_cast<size_t>(1 - side)])) {
+            return GuardState::kNotReady;
+          }
+          COLOGNE_ASSIGN_OR_RETURN(v, Eval(b));
+          BindOwned(a.slot, FromSVal(v));
           return GuardState::kPassed;
         }
       }
       // Form 2: (X == k) == boolexpr with X unbound.
       for (int side = 0; side < 2; ++side) {
-        const Expr& pat = side == 0 ? l : r;
-        const Expr& other = side == 0 ? r : l;
+        const Expr& pat = e.kids[static_cast<size_t>(side)];
+        const Expr& other = e.kids[static_cast<size_t>(1 - side)];
         if (pat.op != ExprOp::kEq) continue;
         const Expr* slot_kid = nullptr;
         const Expr* const_kid = nullptr;
         for (int k = 0; k < 2; ++k) {
           const Expr& kid = pat.kids[static_cast<size_t>(k)];
           const Expr& sib = pat.kids[static_cast<size_t>(1 - k)];
-          if (kid.op == ExprOp::kSlot &&
-              slots[static_cast<size_t>(kid.slot)].is_null()) {
+          if (kid.op == ExprOp::kSlot && Unbound(kid.slot)) {
             slot_kid = &kid;
             const_kid = &sib;
           }
@@ -431,9 +465,11 @@ class BridgeEval {
         if (const_kid->op != ExprOp::kConst || !const_kid->const_val.is_int()) {
           continue;
         }
-        if (!Ready(other, slots)) return GuardState::kNotReady;
+        if (!Ready(side_deps[static_cast<size_t>(1 - side)])) {
+          return GuardState::kNotReady;
+        }
         int64_t k = const_kid->const_val.as_int();
-        COLOGNE_ASSIGN_OR_RETURN(cond, Eval(other, slots));
+        COLOGNE_ASSIGN_OR_RETURN(cond, Eval(other));
         Value bound;
         if (cond.symbolic) {
           LinExpr scaled = cond.expr;
@@ -442,26 +478,34 @@ class BridgeEval {
         } else {
           bound = Value::Int(datalog::ValueIsTrue(cond.concrete) ? k : 0);
         }
-        slots[static_cast<size_t>(slot_kid->slot)] = bound;
+        BindOwned(slot_kid->slot, std::move(bound));
         return GuardState::kPassed;
       }
     }
     // Plain evaluation: not ready / filter / hard constraint.
-    if (!Ready(e, slots)) return GuardState::kNotReady;
-    return EvalCondition(e, slots);
+    if (!Ready(info.deps)) return GuardState::kNotReady;
+    return EvalCondition(e);
   }
 
   // Evaluate a fully-bound boolean condition. Concrete: filter. Symbolic:
   // post a hard constraint (selections in solver rules restrict the search
   // space, Sections 5.3-5.4) and keep the branch alive.
-  Result<GuardState> EvalCondition(const Expr& e, std::vector<Value>& slots) {
+  Result<GuardState> EvalCondition(const Expr& e) {
     if (datalog::IsComparison(e.op)) {
-      COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-      COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+      // Concrete slots and constants are compared in place: most guards are
+      // filters such as X != W.
+      const Value* la = ConcreteLeaf(e.kids[0]);
+      const Value* lb = la == nullptr ? nullptr : ConcreteLeaf(e.kids[1]);
+      if (lb != nullptr) {
+        COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalOp(e.op, *la, *lb));
+        return datalog::ValueIsTrue(v) ? GuardState::kPassed
+                                       : GuardState::kFailed;
+      }
+      COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+      COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
       if (!a.symbolic && !b.symbolic) {
-        Expr probe = Expr::Binary(e.op, Expr::Const(a.concrete),
-                                  Expr::Const(b.concrete));
-        COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(probe, {}));
+        COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalOp(e.op, a.concrete,
+                                                    b.concrete));
         return datalog::ValueIsTrue(v) ? GuardState::kPassed
                                        : GuardState::kFailed;
       }
@@ -472,11 +516,11 @@ class BridgeEval {
       return GuardState::kPassed;
     }
     if (e.op == ExprOp::kAnd) {
-      COLOGNE_ASSIGN_OR_RETURN(a, EvalCondition(e.kids[0], slots));
+      COLOGNE_ASSIGN_OR_RETURN(a, EvalCondition(e.kids[0]));
       if (a == GuardState::kFailed) return a;
-      return EvalCondition(e.kids[1], slots);
+      return EvalCondition(e.kids[1]);
     }
-    COLOGNE_ASSIGN_OR_RETURN(v, Eval(e, slots));
+    COLOGNE_ASSIGN_OR_RETURN(v, Eval(e));
     if (!v.symbolic) {
       return datalog::ValueIsTrue(v.concrete) ? GuardState::kPassed
                                               : GuardState::kFailed;
@@ -487,37 +531,46 @@ class BridgeEval {
   }
 
   // ---- Expression evaluation (symbolic-aware) -------------------------------
-  Result<SVal> Eval(const Expr& e, const std::vector<Value>& slots) {
+  // The value of a constant or of a slot bound to a concrete value; nullptr
+  // for anything else.
+  const Value* ConcreteLeaf(const Expr& e) const {
+    if (e.op == ExprOp::kConst) return &e.const_val;
+    if (e.op != ExprOp::kSlot) return nullptr;
+    const Value& v = SlotValue(e.slot);
+    return v.is_sym() ? nullptr : &v;
+  }
+
+  Result<SVal> Eval(const Expr& e) {
     switch (e.op) {
       case ExprOp::kConst:
         return SVal::Concrete(e.const_val);
       case ExprOp::kSlot:
-        return ToSVal(slots[static_cast<size_t>(e.slot)]);
+        return ToSVal(SlotValue(e.slot));
       case ExprOp::kNeg: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        if (!a.symbolic) return ConcreteUnary(e.op, a.concrete);
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        if (!a.symbolic) return Concrete(datalog::EvalOp(e.op, a.concrete));
         LinExpr neg = a.expr;
         neg.MulBy(-1);
         return SVal::Sym(std::move(neg));
       }
       case ExprOp::kAbs: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        if (!a.symbolic) return ConcreteUnary(e.op, a.concrete);
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        if (!a.symbolic) return Concrete(datalog::EvalOp(e.op, a.concrete));
         return SVal::Sym(LinExpr(model_->MakeAbs(a.expr)));
       }
       case ExprOp::kNot: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        if (!a.symbolic) return ConcreteUnary(e.op, a.concrete);
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        if (!a.symbolic) return Concrete(datalog::EvalOp(e.op, a.concrete));
         LinExpr inv(1);
         inv -= a.expr;
         return SVal::Sym(std::move(inv));
       }
       case ExprOp::kAdd:
       case ExprOp::kSub: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
         if (!a.symbolic && !b.symbolic) {
-          return ConcreteBinary(e.op, a.concrete, b.concrete);
+          return Concrete(datalog::EvalOp(e.op, a.concrete, b.concrete));
         }
         COLOGNE_ASSIGN_OR_RETURN(ea, a.AsExpr());
         COLOGNE_ASSIGN_OR_RETURN(eb, b.AsExpr());
@@ -529,10 +582,10 @@ class BridgeEval {
         return SVal::Sym(std::move(ea));
       }
       case ExprOp::kMul: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
         if (!a.symbolic && !b.symbolic) {
-          return ConcreteBinary(e.op, a.concrete, b.concrete);
+          return Concrete(datalog::EvalOp(e.op, a.concrete, b.concrete));
         }
         if (!a.symbolic || !b.symbolic) {
           const SVal& sym = a.symbolic ? a : b;
@@ -551,19 +604,19 @@ class BridgeEval {
       }
       case ExprOp::kDiv:
       case ExprOp::kMod: {
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
         if (a.symbolic || b.symbolic) {
           return Status::SolverError(
               "division/modulo over solver attributes is not supported");
         }
-        return ConcreteBinary(e.op, a.concrete, b.concrete);
+        return Concrete(datalog::EvalOp(e.op, a.concrete, b.concrete));
       }
       default: {  // comparisons and logical connectives
-        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0], slots));
-        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1], slots));
+        COLOGNE_ASSIGN_OR_RETURN(a, Eval(e.kids[0]));
+        COLOGNE_ASSIGN_OR_RETURN(b, Eval(e.kids[1]));
         if (!a.symbolic && !b.symbolic) {
-          return ConcreteBinary(e.op, a.concrete, b.concrete);
+          return Concrete(datalog::EvalOp(e.op, a.concrete, b.concrete));
         }
         COLOGNE_ASSIGN_OR_RETURN(ea, a.AsExpr());
         COLOGNE_ASSIGN_OR_RETURN(eb, b.AsExpr());
@@ -586,28 +639,22 @@ class BridgeEval {
     }
   }
 
-  Result<SVal> ConcreteUnary(ExprOp op, const Value& a) {
-    Expr probe = Expr::Unary(op, Expr::Const(a));
-    COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(probe, {}));
-    return SVal::Concrete(std::move(v));
-  }
-  Result<SVal> ConcreteBinary(ExprOp op, const Value& a, const Value& b) {
-    Expr probe = Expr::Binary(op, Expr::Const(a), Expr::Const(b));
-    COLOGNE_ASSIGN_OR_RETURN(v, datalog::EvalExpr(probe, {}));
-    return SVal::Concrete(std::move(v));
+  // A concrete operator result (datalog::EvalOp) as an SVal.
+  static Result<SVal> Concrete(Result<Value> r) {
+    if (!r.ok()) return r.status();
+    return SVal::Concrete(std::move(r).value());
   }
 
   // ---- Head emission --------------------------------------------------------
-  Status Emit(const RuleIR& rule, const std::vector<Value>& slots,
-              std::vector<Row>* emitted) {
+  Status Emit(std::vector<Row>* emitted) {
     if (cur_constraint_) return Status::OK();  // constraints derive nothing
+    const RuleIR& rule = *cur_rule_;
     if (rule.agg) {
       Row group;
       for (size_t i = 0; i < rule.head.args.size(); ++i) {
         if (static_cast<int>(i) == rule.agg->arg_index) continue;
         const TermIR& term = rule.head.args[i];
-        Value v = term.is_const ? term.const_val
-                                : slots[static_cast<size_t>(term.slot)];
+        Value v = term.is_const ? term.const_val : SlotValue(term.slot);
         if (v.is_null()) {
           return Status::SolverError("rule " + rule.label +
                                      ": unbound group-by attribute");
@@ -618,7 +665,7 @@ class BridgeEval {
         }
         group.push_back(std::move(v));
       }
-      const Value& v = slots[static_cast<size_t>(rule.agg->value_slot)];
+      const Value& v = SlotValue(rule.agg->value_slot);
       if (v.is_null()) {
         return Status::SolverError("rule " + rule.label +
                                    ": unbound aggregate input");
@@ -629,8 +676,7 @@ class BridgeEval {
     }
     Row row;
     for (const TermIR& term : rule.head.args) {
-      Value v = term.is_const ? term.const_val
-                              : slots[static_cast<size_t>(term.slot)];
+      Value v = term.is_const ? term.const_val : SlotValue(term.slot);
       if (v.is_null()) {
         return Status::SolverError("rule " + rule.label +
                                    ": unbound head attribute");
@@ -739,15 +785,23 @@ class BridgeEval {
   }
 
   const CompiledProgram* program_;
-  datalog::Engine* engine_;
+  const datalog::Engine* engine_;
   Model* model_;
   std::vector<VarRow> var_rows_;
   std::vector<LinExpr> sym_exprs_;
   std::map<std::string, std::vector<Row>> tables_;
   std::map<Row, std::vector<SVal>> agg_groups_;
   const RuleIR* cur_rule_ = nullptr;
+  const SolverRulePlan* cur_plan_ = nullptr;
   bool cur_constraint_ = false;
   std::vector<PostedConstraint>* record_ = nullptr;
+  // Join state of the rule under evaluation.
+  std::vector<RowSource> sources_;  // parallel to the rule's body atoms
+  std::vector<const Value*> slots_;  // nullptr = unbound
+  std::vector<Value> owned_;         // per slot: a value a guard computed
+  std::vector<char> done_;   // parallel to cur_plan_->guards
+  std::vector<int> bound_;   // undo log: slots bound, in order
+  std::vector<size_t> fired_;  // undo log: guards run, in order
 };
 
 // Evaluate a LinExpr under a solution.
@@ -962,6 +1016,23 @@ void ApplyKnob(T* dst, const std::optional<K>& knob) {
 
 }  // namespace
 
+SolverBridge::SolverBridge(const colog::CompiledProgram* program,
+                           const datalog::Engine* engine)
+    : program_(program), engine_(engine) {
+  plans_.reserve(program->solver_rules.size());
+  for (const SolverRuleIR& srule : program->solver_rules) {
+    SolverRulePlan& plan = plans_.emplace_back();
+    plan.guards = datalog::CompileGuards(srule.ir);
+    plan.eq_sides.resize(srule.ir.sels.size());
+    for (size_t i = 0; i < srule.ir.sels.size(); ++i) {
+      const Expr& e = srule.ir.sels[i].expr;
+      if (e.op != ExprOp::kEq) continue;
+      e.kids[0].CollectSlots(&plan.eq_sides[i][0]);
+      e.kids[1].CollectSlots(&plan.eq_sides[i][1]);
+    }
+  }
+}
+
 SolveOptions ResolveSolveOptions(const colog::CompiledProgram& program,
                                  SolveOptions base) {
   // One line per solver knob; NET_RELIABLE and OBS_METRICS apply in System.
@@ -1009,11 +1080,10 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   BridgeEval sym_eval(program_, engine_, &model);
   std::vector<PostedConstraint> posted;
   if (options.record_provenance) sym_eval.RecordConstraintsTo(&posted);
-  std::vector<std::pair<IntVar, Value*>> var_cells;
-  COLOGNE_RETURN_IF_ERROR(sym_eval.InstantiateVars(&var_cells));
-
-  for (const SolverRuleIR& rule : program_->solver_rules) {
-    COLOGNE_RETURN_IF_ERROR(sym_eval.EvalRule(rule));
+  COLOGNE_RETURN_IF_ERROR(sym_eval.InstantiateVars());
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    COLOGNE_RETURN_IF_ERROR(
+        sym_eval.EvalRule(program_->solver_rules[i], plans_[i]));
   }
 
   bool optimizing = program_->goal.present && !program_->goal.table.empty();
@@ -1228,10 +1298,10 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
   // ---- Phase C: concrete re-evaluation under the solution --------------------
   BridgeEval conc_eval(program_, engine_, nullptr);
   // Substitute solution values into the var-table rows.
-  for (const auto& [name, rows] : sym_eval.tables()) {
+  // The symbolic tables are not read again: substitute in place.
+  for (auto& [name, rows] : sym_eval.tables()) {
     if (!program_->var_tables.count(name)) continue;
-    std::vector<Row> concrete_rows = rows;
-    for (Row& row : concrete_rows) {
+    for (Row& row : rows) {
       for (Value& cell : row) {
         if (cell.is_sym()) {
           cell = Value::Int(
@@ -1239,10 +1309,11 @@ Result<SolveOutput> SolverBridge::Solve(const SolveOptions& options,
         }
       }
     }
-    conc_eval.SeedTable(name, std::move(concrete_rows));
+    conc_eval.SeedTable(name, std::move(rows));
   }
-  for (const SolverRuleIR& rule : program_->solver_rules) {
-    COLOGNE_RETURN_IF_ERROR(conc_eval.EvalRule(rule));
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    COLOGNE_RETURN_IF_ERROR(
+        conc_eval.EvalRule(program_->solver_rules[i], plans_[i]));
   }
   if (optimizing) {
     COLOGNE_ASSIGN_OR_RETURN(goal_val, conc_eval.GoalValue());

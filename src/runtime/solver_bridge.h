@@ -15,6 +15,7 @@
 #ifndef COLOGNE_RUNTIME_SOLVER_BRIDGE_H_
 #define COLOGNE_RUNTIME_SOLVER_BRIDGE_H_
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -230,12 +231,23 @@ struct IncrementalState {
 /// \brief Executes the solver-side of a compiled Colog program against the
 /// current state of a Datalog engine.
 ///
-/// Stateless across calls: each Solve builds a fresh model, so it can run
-/// once per periodic trigger or table-update event.
+/// Join plan of one solver rule, compiled when the bridge is built:
+/// its guards with the slots each reads (datalog::CompileGuards, shared with
+/// the engine) and, for each `l == r` selection, the slots of either side,
+/// since the bridge's binding forms wait on one side only.
+struct SolverRulePlan {
+  std::vector<datalog::GuardInfo> guards;
+  /// Parallel to RuleIR::sels; both empty unless the selection is `==`.
+  std::vector<std::array<std::vector<int>, 2>> eq_sides;
+};
+
+/// Stateless across calls apart from its per-rule join plans: each Solve
+/// builds a fresh model from the current engine state, so it can run once
+/// per periodic trigger or table-update event.
 class SolverBridge {
  public:
-  SolverBridge(const colog::CompiledProgram* program, datalog::Engine* engine)
-      : program_(program), engine_(engine) {}
+  SolverBridge(const colog::CompiledProgram* program,
+               const datalog::Engine* engine);
 
   /// Run one complete COP execution. Returns an error Status only for
   /// program-level failures (malformed model); an infeasible or timed-out
@@ -281,7 +293,8 @@ class SolverBridge {
 
  private:
   const colog::CompiledProgram* program_;
-  datalog::Engine* engine_;
+  const datalog::Engine* engine_;
+  std::vector<SolverRulePlan> plans_;  ///< Parallel to program_->solver_rules.
 };
 
 }  // namespace cologne::runtime

@@ -9,6 +9,7 @@
 #include "apps/trace.h"
 #include "apps/wireless.h"
 #include "colog/planner.h"
+#include "runtime/instance.h"
 #include "common/stats.h"
 
 namespace cologne::apps {
@@ -111,6 +112,51 @@ TEST(ACloudScenarioTest, MigrationLimitRespected) {
     EXPECT_LE(iv.migrations, cfg.max_migrates * cfg.num_dcs)
         << "at t=" << iv.t_hours;
   }
+}
+
+TEST(ACloudScenarioTest, VmUnderFilterLeavesTheNextCop) {
+  auto compiled = colog::CompileColog(ACloudProgram(false));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  runtime::Instance inst(0, &prog);
+  ASSERT_TRUE(inst.Init().ok());
+  auto I = [](int64_t v) { return Value::Int(v); };
+  const Row vm0{I(0), I(50), I(2)}, vm1{I(1), I(40), I(2)};
+  // One interval's refresh, as ACloudScenario::RunCologne does it.
+  auto refresh = [&](const std::set<Row>& vms) {
+    std::set<Row> origin;
+    for (const Row& vm : vms) origin.insert({vm[0], I(0)});
+    for (const auto& [table, want] :
+         {std::pair<const char*, std::set<Row>>{"vm", vms},
+          {"origin", origin},
+          {"host", {{I(0), I(0), I(0)}, {I(1), I(0), I(0)}}},
+          {"hostMemThres", {{I(0), I(32)}, {I(1), I(32)}}}}) {
+      Status s = SyncBaseFacts(&inst, table, want);
+      if (!s.ok()) return s;
+    }
+    return inst.Flush();
+  };
+  // Two intervals with both VMs above the filter: unchanged rows are not
+  // re-applied, so their derivation counts stay at one.
+  for (int interval = 0; interval < 2; ++interval) {
+    ASSERT_TRUE(refresh({vm0, vm1}).ok());
+    auto out = inst.Solve();
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+  }
+  EXPECT_EQ(inst.engine().GetTable("vm")->CountOf(vm1), 1);
+  EXPECT_EQ(inst.engine().GetTable("host")->CountOf({I(0), I(0), I(0)}), 1);
+
+  // VM 1 falls under the filter: it leaves vm, and the next COP places VM 0
+  // only.
+  ASSERT_TRUE(refresh({vm0}).ok());
+  EXPECT_FALSE(inst.engine().GetTable("vm")->Contains(vm1));
+  EXPECT_FALSE(inst.engine().GetTable("origin")->Contains({I(1), I(0)}));
+  auto out = inst.Solve();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_TRUE(out.value().has_solution());
+  const std::vector<Row>& assign = out.value().tables.at("assign");
+  EXPECT_EQ(assign.size(), 2u) << "VM 0 on each of the two hosts";
+  for (const Row& row : assign) EXPECT_EQ(row[0], I(0));
 }
 
 TEST(FollowTheSunTest, CostDecreasesAndConverges) {

@@ -6,9 +6,11 @@
 #include <cmath>
 #include <set>
 
+#include "apps/programs.h"
 #include "colog/planner.h"
 #include "common/rng.h"
 #include "runtime/instance.h"
+#include "runtime/system.h"
 
 namespace cologne::runtime {
 namespace {
@@ -254,6 +256,297 @@ d2 total(SUM<V>) <- pairCost(I,J,V).
   ASSERT_FALSE(out.ok());
   EXPECT_NE(out.status().message().find("join on a solver attribute"),
             std::string::npos);
+}
+
+// ---- Join semantics ---------------------------------------------------------
+// Each case below pins one behaviour of the bridge's body join (binding
+// order, guard readiness, re-binding, unification, table sources).
+
+Result<SolveOutput> SolveProgram(
+    const char* src, const std::vector<std::pair<std::string, Row>>& facts,
+    colog::CompiledProgram* prog, std::unique_ptr<Instance>* inst) {
+  auto compiled = colog::CompileColog(src);
+  if (!compiled.ok()) return compiled.status();
+  *prog = std::move(compiled).value();
+  *inst = std::make_unique<Instance>(0, prog);
+  COLOGNE_RETURN_IF_ERROR((*inst)->Init());
+  for (const auto& [table, row] : facts) {
+    COLOGNE_RETURN_IF_ERROR((*inst)->InsertFact(table, row));
+  }
+  return (*inst)->Solve();
+}
+
+std::set<Row> RowsOf(const SolveOutput& out, const std::string& table) {
+  auto it = out.tables.find(table);
+  if (it == out.tables.end()) return {};
+  return {it->second.begin(), it->second.end()};
+}
+
+TEST(BridgeJoinTest, SelfJoinOverOneEngineTable) {
+  // d1 joins `e` with itself: V(I) is summed once per two-hop path from I.
+  const char* src = R"(
+goal minimize S in total(S).
+var x(I,V) forall item(I) domain [0,3].
+d1 paths(I,SUM<V>) <- x(I,V), e(I,J), e(J,K).
+c1 paths(I,S) -> S>=2.
+d2 total(SUM<V>) <- x(I,V).
+)";
+  colog::CompiledProgram prog;
+  std::unique_ptr<Instance> inst;
+  // Two-hop paths: 0 -> {0-1-2, 0-1-3}, 1 -> {1-2-0}, 2 -> {2-0-1}, 3 -> none.
+  auto out = SolveProgram(src,
+                          {{"item", R({0})}, {"item", R({1})},
+                           {"item", R({2})}, {"item", R({3})},
+                           {"e", R({0, 1})}, {"e", R({1, 2})},
+                           {"e", R({1, 3})}, {"e", R({2, 0})}},
+                          &prog, &inst);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out.value().status, solver::SolveStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(out.value().objective, 5);
+  EXPECT_EQ(RowsOf(out.value(), "x"),
+            (std::set<Row>{R({0, 1}), R({1, 2}), R({2, 2}), R({3, 0})}));
+  EXPECT_EQ(RowsOf(out.value(), "paths"),
+            (std::set<Row>{R({0, 2}), R({1, 2}), R({2, 2})}));
+}
+
+TEST(BridgeJoinTest, BindingGuardReadyOnlyAtLastAtom) {
+  // (C==1)==(V>=T) needs T, which only the last body atom binds.
+  const char* src = R"(
+goal minimize S in total(S).
+var x(I,V) forall item(I) domain [0,4].
+d1 hit(I,C) <- x(I,V), thr(I,T), (C==1)==(V>=T).
+d2 hits(SUM<C>) <- hit(I,C).
+c1 hits(H) -> H>=2.
+d3 total(SUM<V>) <- x(I,V).
+)";
+  colog::CompiledProgram prog;
+  std::unique_ptr<Instance> inst;
+  auto out = SolveProgram(src,
+                          {{"item", R({0})}, {"item", R({1})},
+                           {"item", R({2})}, {"thr", R({0, 3})},
+                           {"thr", R({1, 1})}, {"thr", R({2, 2})}},
+                          &prog, &inst);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out.value().status, solver::SolveStatus::kOptimal);
+  // Cheapest two hits: item 1 at V=1 and item 2 at V=2.
+  EXPECT_DOUBLE_EQ(out.value().objective, 3);
+  EXPECT_EQ(RowsOf(out.value(), "hit"),
+            (std::set<Row>{R({0, 0}), R({1, 1}), R({2, 1})}));
+}
+
+TEST(BridgeJoinTest, AssignmentRebindingMustAgree) {
+  // W is bound by want(I,W) before `W := I+1` is ready: rows where the two
+  // disagree are filtered out, so c1 only reaches items 0 and 2.
+  const char* src = R"(
+goal minimize S in total(S).
+var x(I,V) forall item(I) domain [0,4].
+d1 good(I,V) <- want(I,W), x(I,V), W:=I+1.
+c1 good(I,V) -> V>=2.
+d2 total(SUM<V>) <- x(I,V).
+)";
+  colog::CompiledProgram prog;
+  std::unique_ptr<Instance> inst;
+  auto out = SolveProgram(src,
+                          {{"item", R({0})}, {"item", R({1})},
+                           {"item", R({2})}, {"want", R({0, 1})},
+                           {"want", R({1, 5})}, {"want", R({2, 3})}},
+                          &prog, &inst);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out.value().status, solver::SolveStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(out.value().objective, 4);
+  EXPECT_EQ(RowsOf(out.value(), "good"),
+            (std::set<Row>{R({0, 2}), R({2, 2})}));
+}
+
+TEST(BridgeJoinTest, ConstraintHeadUnifiesTwoSymbolicCells) {
+  // c1's head repeats C over two solver cells: matching a `both` row posts
+  // x == y, so y's lower bound reaches x.
+  const char* src = R"(
+goal minimize S in total(S).
+var x(A,V) forall item(A) domain [0,5].
+var y(A,V) forall item(A) domain [0,5].
+d1 both(A,C1,C2) <- x(A,C1), y(A,C2).
+c1 both(A,C,C) -> A>=0.
+c2 y(A,V) -> V>=3.
+d2 total(SUM<V>) <- x(A,V).
+)";
+  colog::CompiledProgram prog;
+  std::unique_ptr<Instance> inst;
+  auto out = SolveProgram(src, {{"item", R({0})}, {"item", R({1})}}, &prog,
+                          &inst);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out.value().status, solver::SolveStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(out.value().objective, 6);
+  EXPECT_EQ(RowsOf(out.value(), "x"), (std::set<Row>{R({0, 3}), R({1, 3})}));
+}
+
+TEST(BridgeJoinTest, MissingAndEmptyEngineTablesJoinNothing) {
+  const char* src = R"(
+goal minimize S in total(S).
+var x(I,V) forall item(I) domain [1,3].
+d1 total(SUM<V>) <- x(I,V), extra(I).
+c1 x(I,V) -> cap(I,M), V<=M.
+)";
+  auto compiled = colog::CompileColog(src);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  // Empty: every table declared, `extra` and `cap` hold no rows. No cost
+  // row and no constraint: the goal degrades to satisfaction.
+  Instance inst(0, &prog);
+  ASSERT_TRUE(inst.Init().ok());
+  ASSERT_TRUE(inst.InsertFact("item", R({0})).ok());
+  auto empty = inst.Solve();
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ASSERT_TRUE(empty.value().has_solution());
+  EXPECT_DOUBLE_EQ(empty.value().objective, 0);
+  EXPECT_TRUE(RowsOf(empty.value(), "total").empty());
+  EXPECT_EQ(RowsOf(empty.value(), "x").size(), 1u);
+
+  // Missing: an engine that declares only the forall table.
+  datalog::Engine engine;
+  ASSERT_TRUE(engine.DeclareTable(prog.tables.at("item")).ok());
+  ASSERT_TRUE(engine.InsertFact("item", R({0})).ok());
+  SolverBridge bridge(&prog, &engine);
+  auto missing = bridge.Solve(SolveOptions{});
+  ASSERT_TRUE(missing.ok()) << missing.status().ToString();
+  ASSERT_TRUE(missing.value().has_solution());
+  EXPECT_DOUBLE_EQ(missing.value().objective, 0);
+  EXPECT_TRUE(RowsOf(missing.value(), "total").empty());
+  EXPECT_EQ(missing.value().model_propagators,
+            empty.value().model_propagators);
+}
+
+TEST(BridgeJoinTest, BodyReadsTableDerivedByEarlierSolverRule) {
+  // d2 reads d1's output and d3 self-joins d2's: both live only in the
+  // bridge during the solve.
+  const char* src = R"(
+goal minimize S in total(S).
+var x(I,V) forall item(I) domain [1,3].
+d1 a(I,W) <- x(I,V), W==V*2.
+d2 b(I,U) <- a(I,W), U==W+1.
+d3 pair(I,J,T) <- b(I,U1), b(J,U2), I<J, T==U1+U2.
+d4 total(SUM<T>) <- pair(I,J,T).
+c1 x(I,V) -> lo(I,L), V>=L.
+)";
+  colog::CompiledProgram prog;
+  std::unique_ptr<Instance> inst;
+  auto out = SolveProgram(src,
+                          {{"item", R({0})}, {"item", R({1})},
+                           {"item", R({2})}, {"lo", R({1, 2})}},
+                          &prog, &inst);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out.value().status, solver::SolveStatus::kOptimal);
+  // x = (1,2,1): b = (3,5,3); pairs (0,1)=8, (0,2)=6, (1,2)=8.
+  EXPECT_DOUBLE_EQ(out.value().objective, 22);
+  EXPECT_EQ(RowsOf(out.value(), "b"),
+            (std::set<Row>{R({0, 3}), R({1, 5}), R({2, 3})}));
+  EXPECT_EQ(RowsOf(out.value(), "pair"),
+            (std::set<Row>{R({0, 1, 8}), R({0, 2, 6}), R({1, 2, 8})}));
+}
+
+// ---- Model identity ---------------------------------------------------------
+// The bridge must create the same variables and post the same propagators in
+// the same order for a given engine state. An incremental solve of an
+// ungrouped model (prefix 0) stores one fingerprint that hashes every var
+// row's table, key and initial domain, every propagator's DebugString() in
+// posting order, and the objective. Decision groups are marked after the
+// build, so prefix 0 sees the same model a batched solve builds.
+
+struct ModelIdentity {
+  uint64_t fingerprint;
+  size_t vars;
+  size_t props;
+};
+
+Result<ModelIdentity> IdentityOf(Instance* inst) {
+  SolveRequest req;
+  req.mode = SolveMode::kIncremental;
+  req.group_key_prefix = 0;
+  COLOGNE_ASSIGN_OR_RETURN(out, inst->Solve(req));
+  const auto& fps = inst->incremental_state().fingerprints;
+  if (fps.size() != 1 || !fps.count("")) {
+    return Status::RuntimeError("expected one ungrouped fingerprint");
+  }
+  return ModelIdentity{fps.at(""), out.model_vars, out.model_propagators};
+}
+
+TEST(BridgeModelIdentityTest, BatchedTwoHopWirelessNode) {
+  auto compiled = colog::CompileColog(apps::WirelessDistributedProgram(
+      /*num_channels=*/8, /*f_mindiff=*/2, /*two_hop=*/true,
+      /*batched=*/true));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  // 2x3 grid: 0-1-2 over 3-4-5.
+  System sys(&prog, 6);
+  ASSERT_TRUE(sys.Init().ok());
+  auto N = [](int n) { return Value::Node(n); };
+  const std::vector<std::pair<int, int>> links = {
+      {0, 1}, {1, 2}, {3, 4}, {4, 5}, {0, 3}, {1, 4}, {2, 5}};
+  for (const auto& [a, b] : links) {
+    ASSERT_TRUE(sys.AddLink(a, b).ok());
+    ASSERT_TRUE(sys.InsertFact(a, "link", {N(a), N(b)}).ok());
+    ASSERT_TRUE(sys.InsertFact(b, "link", {N(b), N(a)}).ok());
+  }
+  ASSERT_TRUE(sys.InsertFact(1, "primaryUser", {N(1), Value::Int(3)}).ok());
+  ASSERT_TRUE(sys.InsertFact(4, "primaryUser", {N(4), Value::Int(5)}).ok());
+  ASSERT_TRUE(sys.InsertFact(0, "primaryUser", {N(0), Value::Int(1)}).ok());
+  sys.RunToQuiescence();
+
+  // Round 1: node 4 negotiates its three links in one batched solve, so
+  // node 1 later sees concrete neighbor channels.
+  for (int peer : {1, 3, 5}) {
+    ASSERT_TRUE(sys.InsertFact(4, "setLink", {N(4), N(peer)}).ok());
+  }
+  sys.RunToQuiescence();
+  SolveRequest batched;
+  batched.mode = SolveMode::kBatched;
+  batched.group_key_prefix = 2;
+  auto first = sys.node(4).Solve(batched);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().has_solution());
+  sys.RunToQuiescence();
+  for (int peer : {1, 3, 5}) {
+    ASSERT_TRUE(sys.node(4).DeleteFact("setLink", {N(4), N(peer)}).ok());
+  }
+  sys.RunToQuiescence();
+
+  // Round 2: node 1 batches links to 0 and 2.
+  for (int peer : {0, 2}) {
+    ASSERT_TRUE(sys.InsertFact(1, "setLink", {N(1), N(peer)}).ok());
+  }
+  sys.RunToQuiescence();
+  auto id = IdentityOf(&sys.node(1));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  // Pinned at the commit before the bridge join was rewritten.
+  EXPECT_EQ(id.value().fingerprint, 458751884043867733ull);
+  EXPECT_EQ(id.value().vars, 21u);
+  EXPECT_EQ(id.value().props, 22u);
+}
+
+TEST(BridgeModelIdentityTest, OneACloudDataCenter) {
+  auto compiled = colog::CompileColog(apps::ACloudProgram(
+      /*migration_limit=*/true, /*max_migrates=*/2));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const colog::CompiledProgram prog = std::move(compiled).value();
+  Instance inst(0, &prog);
+  ASSERT_TRUE(inst.Init().ok());
+  // 3 hosts with residual load, 6 movable VMs.
+  const int64_t residual[3] = {10, 0, 25};
+  for (int h = 0; h < 3; ++h) {
+    ASSERT_TRUE(inst.InsertFact("host", R({h, residual[h], 0})).ok());
+    ASSERT_TRUE(inst.InsertFact("hostMemThres", R({h, 8})).ok());
+  }
+  const int64_t cpu[6] = {45, 30, 60, 25, 50, 35};
+  for (int v = 0; v < 6; ++v) {
+    ASSERT_TRUE(inst.InsertFact("vm", R({v, cpu[v], 2})).ok());
+    ASSERT_TRUE(inst.InsertFact("origin", R({v, v % 3})).ok());
+  }
+  auto id = IdentityOf(&inst);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  // Pinned at the commit before the bridge join was rewritten.
+  EXPECT_EQ(id.value().fingerprint, 17557373615943150514ull);
+  EXPECT_EQ(id.value().vars, 43u);
+  EXPECT_EQ(id.value().props, 35u);
 }
 
 }  // namespace

@@ -72,6 +72,32 @@ void CompareOrUpdate(const TraceRecorder& trace, const std::string& name) {
       << "\n(if the change is intentional, rerun with --update-golden)";
 }
 
+// `line` without its `,"prov":[...]` field (unchanged when it has none).
+std::string WithoutProv(const std::string& line) {
+  const std::string key = ",\"prov\":[";
+  size_t start = line.find(key);
+  if (start == std::string::npos) return line;
+  int depth = 0;
+  bool in_string = false;
+  for (size_t i = start + key.size() - 1; i < line.size(); ++i) {
+    char c = line[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '[') {
+      ++depth;
+    } else if (c == ']' && --depth == 0) {
+      return line.substr(0, start) + line.substr(i + 1);
+    }
+  }
+  return line;
+}
+
 TEST(GoldenTraceTest, FollowTheSun) {
   apps::FtsConfig cfg;
   cfg.num_dcs = 3;
@@ -181,14 +207,23 @@ TEST(GoldenTraceTest, FollowTheSunObsMetrics) {
   // Observability must be additive: stripping the metrics lines and prov
   // fields must give back the exact followsun_reliable golden.
   bool saw_metrics = false, saw_prov = false;
+  std::vector<std::string> stripped;
   for (const std::string& line : trace.lines()) {
     if (line.find("\"ev\":\"metrics\"") != std::string::npos) {
       saw_metrics = true;
+      continue;
     }
-    if (line.find("\"prov\":[") != std::string::npos) saw_prov = true;
+    std::string plain = WithoutProv(line);
+    saw_prov |= plain.size() != line.size();
+    stripped.push_back(std::move(plain));
   }
   EXPECT_TRUE(saw_metrics) << "no metrics snapshot landed in the trace";
   EXPECT_TRUE(saw_prov) << "no solve provenance landed in the trace";
+  auto reliable = ReadTraceLines(GoldenPath("followsun_reliable"));
+  ASSERT_TRUE(reliable.ok()) << reliable.status().ToString();
+  EXPECT_EQ(DiffTraces(reliable.value(), stripped), "")
+      << "stripping metrics lines and prov fields must give back "
+         "followsun_reliable";
   CompareOrUpdate(trace, "followsun_obs");
 }
 
