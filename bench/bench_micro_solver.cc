@@ -7,15 +7,17 @@
 // Two extra modes, both over the same canonical fixed-seed micro instances
 // (deterministic node/iteration budgets, no wall clock):
 //   bench_micro_solver solverjson    writes BENCH_solver.json — one row per
-//                                    case with per-backend nodes/sec,
-//                                    propagations/sec, peak memory, trail
-//                                    saves, and domain-vector allocations
-//                                    (the IntDomain copy-counting hook) —
-//                                    the solver-core perf trajectory the CI
+//                                    case with every SolveStats counter
+//                                    (one column per CounterTable() row),
+//                                    nodes/sec, propagations/sec, and
+//                                    domain-vector allocations (the
+//                                    IntDomain copy-counting hook) — the
+//                                    solver-core perf trajectory the CI
 //                                    bench-smoke job schema-validates.
 //   bench_micro_solver determinism   solves every case twice and fails
-//                                    (exit 1) on any node/failure/solution
-//                                    divergence — the CI Release gate that
+//                                    (exit 1) on any solver-counter,
+//                                    objective or value divergence — the
+//                                    CI Release gate that
 //                                    keeps solver perf work from silently
 //                                    changing the search tree.
 #include <benchmark/benchmark.h>
@@ -29,8 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/stats.h"
-#include "common/strings.h"
 #include "solver/context_cache.h"
 #include "solver/domain.h"
 #include "solver/model.h"
@@ -465,40 +467,27 @@ int RunSolverJson() {
                                .count();
     const uint64_t domain_allocs = DomainCopyCount() - allocs_before;
     const double secs = wall_ms > 0 ? wall_ms / 1000.0 : 1e-9;
-    std::string row = cologne::StrFormat(
-        "{\"bench\":\"solver_micro\",\"case\":\"%s\",\"backend\":\"%s\","
-        "\"seed\":%llu,\"nodes\":%llu,\"propagations\":%llu,"
-        "\"wall_ms\":%.3f,\"nodes_per_sec\":%.0f,\"props_per_sec\":%.0f,"
-        "\"peak_mem_bytes\":%llu,\"trail_saves\":%llu,"
-        "\"domain_allocs\":%llu,\"cache_hits\":%llu,\"cache_stores\":%llu,"
-        "\"cache_mem_bytes\":%llu,\"steals\":%llu,\"subproblems\":%llu,"
-        "\"ls_moves\":%llu,\"ls_accepted\":%llu,\"ls_tabu_hits\":%llu,"
-        "\"props_executed\":%llu,\"props_skipped_entailed\":%llu,"
-        "\"wakes_filtered\":%llu,\"naive\":%d,"
-        "\"workers\":%d,\"objective\":%lld}",
-        c.name, BackendName(c.backend),
-        static_cast<unsigned long long>(c.seed),
-        static_cast<unsigned long long>(s.stats.nodes),
-        static_cast<unsigned long long>(s.stats.propagations), wall_ms,
-        static_cast<double>(s.stats.nodes) / secs,
-        static_cast<double>(s.stats.propagations) / secs,
-        static_cast<unsigned long long>(s.stats.peak_memory_bytes),
-        static_cast<unsigned long long>(s.stats.trail_saves),
-        static_cast<unsigned long long>(domain_allocs),
-        static_cast<unsigned long long>(s.stats.cache_hits),
-        static_cast<unsigned long long>(s.stats.cache_stores),
-        static_cast<unsigned long long>(s.stats.cache_mem_bytes),
-        static_cast<unsigned long long>(s.stats.steals),
-        static_cast<unsigned long long>(s.stats.subproblems),
-        static_cast<unsigned long long>(s.stats.ls_moves),
-        static_cast<unsigned long long>(s.stats.ls_accepted),
-        static_cast<unsigned long long>(s.stats.ls_tabu_hits),
-        static_cast<unsigned long long>(s.stats.propagations),
-        static_cast<unsigned long long>(s.stats.props_skipped_entailed),
-        static_cast<unsigned long long>(s.stats.wakes_filtered),
-        c.naive ? 1 : 0,
-        c.workers > 0 ? c.workers : 1,
-        static_cast<long long>(s.has_solution() ? s.objective : 0));
+    cologne::JsonWriter w;
+    w.BeginObject();
+    w.Key("bench").String("solver_micro");
+    w.Key("case").String(c.name);
+    w.Key("backend").String(BackendName(c.backend));
+    w.Key("seed").UInt(c.seed);
+    for (const CounterSpec& counter : CounterTable()) {
+      w.Key(counter.column).UInt(s.stats.*counter.field);
+    }
+    w.Key("wall_ms").Double(wall_ms);
+    w.Key("nodes_per_sec").Double(static_cast<double>(s.stats.nodes) / secs);
+    w.Key("props_per_sec")
+        .Double(static_cast<double>(s.stats.propagations) / secs);
+    w.Key("domain_allocs").UInt(domain_allocs);
+    // The name the event-typed propagation gates read (== propagations).
+    w.Key("props_executed").UInt(s.stats.propagations);
+    w.Key("naive").Int(c.naive ? 1 : 0);
+    w.Key("workers").Int(c.workers > 0 ? c.workers : 1);
+    w.Key("objective").Int(s.has_solution() ? s.objective : 0);
+    w.EndObject();
+    const std::string row = w.Take();
     fprintf(out, "%s\n", row.c_str());
     printf("%s\n", row.c_str());
   }
@@ -506,9 +495,17 @@ int RunSolverJson() {
   return 0;
 }
 
+// Every CounterTable() counter agrees between two solves.
+bool SameCounters(const SolveStats& a, const SolveStats& b) {
+  for (const CounterSpec& c : CounterTable()) {
+    if (a.*c.field != b.*c.field) return false;
+  }
+  return true;
+}
+
 // Solve every canonical case twice; any divergence in the explored tree
-// (nodes / failures / solutions / propagations / objective) is a
-// determinism regression.
+// (any solver counter, the objective or the values) is a determinism
+// regression.
 int RunDeterminism() {
   int rc = 0;
   for (const MicroCase& c : kMicroCases) {
@@ -521,13 +518,7 @@ int RunDeterminism() {
     }
     Solution a = RunMicroCase(c);
     Solution b = RunMicroCase(c);
-    const bool same = a.stats.nodes == b.stats.nodes &&
-                      a.stats.failures == b.stats.failures &&
-                      a.stats.solutions == b.stats.solutions &&
-                      a.stats.propagations == b.stats.propagations &&
-                      a.stats.ls_moves == b.stats.ls_moves &&
-                      a.stats.ls_accepted == b.stats.ls_accepted &&
-                      a.stats.ls_tabu_hits == b.stats.ls_tabu_hits &&
+    const bool same = SameCounters(a.stats, b.stats) &&
                       a.objective == b.objective && a.values == b.values;
     printf("%-18s %s nodes=%llu/%llu failures=%llu/%llu solutions=%llu/%llu\n",
            c.name, same ? "OK" : "MISMATCH",

@@ -11,7 +11,7 @@ namespace {
 // Compatibility key of the whole-solve reuse path: every knob that feeds the
 // model build or the search must match between the cached solve and the
 // request, or identical inputs no longer imply an identical output.
-uint64_t ReuseOptionsKey(const SolveOptions& o, int group_key_prefix) {
+uint64_t ReuseOptionsKey(const SolveOptions& o) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a
   auto mix = [&h](uint64_t v) {
     h ^= v;
@@ -24,7 +24,7 @@ uint64_t ReuseOptionsKey(const SolveOptions& o, int group_key_prefix) {
   mix(o.restart_base_nodes);
   mix(static_cast<uint64_t>(o.num_workers));
   mix(o.max_iterations);
-  mix(static_cast<uint64_t>(group_key_prefix));
+  mix(static_cast<uint64_t>(o.group_key_prefix));
   mix(o.warm_start ? 1u : 0u);
   mix(o.record_provenance ? 1u : 0u);
   mix(static_cast<uint64_t>(o.incr_threshold_pct));
@@ -133,7 +133,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   // without a sink would pay the bookkeeping for nothing, and the `prov`
   // trace field must stay absent when OBS_METRICS is off.
   if (metrics_ != nullptr) opts.record_provenance = true;
-  const int group_key_prefix =
+  opts.group_key_prefix =
       request.mode == SolveMode::kFull ? 0 : request.group_key_prefix;
   // kIncremental forces the delta path; any mode gets it when the program's
   // SOLVER_INCREMENTAL knob (or the caller's solve options) turned it on.
@@ -147,7 +147,7 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
   // and writeback entirely. This is the steady state of the periodic
   // re-solve loop: a fact delta perturbs one node's inputs, and every other
   // node's re-solve is a content-hash check.
-  const uint64_t reuse_key = ReuseOptionsKey(opts, group_key_prefix);
+  const uint64_t reuse_key = ReuseOptionsKey(opts);
   if (incr != nullptr && incr->reusable &&
       incr->reuse_options_key == reuse_key) {
     bool unchanged = true;
@@ -167,81 +167,24 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
       out.incr_fallback = false;
       out.incr_reused = true;
       out.stats = solver::SolveStats{};  // no search ran
-      ++solve_count_;
       // The advisory window closes: this solve consumed (and dismissed)
       // the journal's deltas by proving them outside the model's inputs.
       touched_tables_.clear();
-      if (metrics_ != nullptr) {
-        obs::MetricsRegistry& m = *metrics_;
-        m.Add("solve.count");
-        m.Add("solve.warm");
-        m.Add("solve.incr");
-        m.Add("solve.incr.reused");
-        m.Add("solve.incr.dirty", 0);
-        m.Observe("solve.nodes", 0);
-      }
-      if (trace_ != nullptr) {
-        TraceRecorder::SolveIncr incr_trace;
-        incr_trace.dirty = 0;
-        incr_trace.clean = out.incr_clean;
-        incr_trace.fallback = false;
-        incr_trace.reused = true;
-        trace_->Solve(id_, solver::SolveStatusName(out.status),
-                      out.has_objective, out.objective, out.model_vars,
-                      out.model_groups, out.warm_started,
-                      out.provenance.empty() ? nullptr : &out.provenance,
-                      &incr_trace);
-      }
+      RecordSolve(out);
       return out;
     }
   }
 
   SolverBridge bridge(program_, &engine_);
   solver::ContextCache* ctx_cache = opts.cache ? &ctx_cache_ : nullptr;
-  COLOGNE_ASSIGN_OR_RETURN(
-      out, group_key_prefix > 0
-               ? bridge.SolveBatched(opts, group_key_prefix, &warm_cache_,
-                                     incr, ctx_cache)
-               : bridge.Solve(opts, &warm_cache_, incr, ctx_cache));
-  ++solve_count_;
-  total_solve_ms_ += out.stats.wall_ms;
-  if (metrics_ != nullptr) {
-    obs::MetricsRegistry& m = *metrics_;
-    m.Add("solve.count");
-    m.Add("solve.nodes", out.stats.nodes);
-    m.Add("solve.failures", out.stats.failures);
-    m.Add("solve.propagations", out.stats.propagations);
-    m.Add("solve.iterations", out.stats.iterations);
-    m.Add("solve.restarts", out.stats.restarts);
-    if (out.stats.lns_accepted > 0) {
-      m.Add("lns.accepted", out.stats.lns_accepted);
-    }
-    // Only emitted when the knobs are on, so knob-off metric traces stay
-    // byte-identical.
-    if (out.stats.cache_hits > 0) m.Add("solve.cache.hits", out.stats.cache_hits);
-    if (out.stats.steals > 0) m.Add("solve.steals", out.stats.steals);
-    if (out.stats.wakes_filtered > 0) {
-      m.Add("solve.wakes_filtered", out.stats.wakes_filtered);
-    }
-    if (out.stats.props_skipped_entailed > 0) {
-      m.Add("solve.props_skipped_entailed", out.stats.props_skipped_entailed);
-    }
-    if (out.warm_started) m.Add("solve.warm");
-    if (out.incr_dirty >= 0) {
-      m.Add(out.incr_fallback ? "solve.incr.fallback" : "solve.incr");
-      m.Add("solve.incr.dirty", static_cast<uint64_t>(out.incr_dirty));
-    }
-    for (const auto& [kind, count] : out.stats.propagations_by_kind) {
-      m.Add("prop." + kind, count);
-    }
-    m.Observe("solve.nodes", static_cast<int64_t>(out.stats.nodes));
-  }
+  COLOGNE_ASSIGN_OR_RETURN(out,
+                           bridge.Solve(opts, &warm_cache_, incr, ctx_cache));
   if (out.has_solution()) {
     // Batched solves flush per delta: several migVm rows share one
     // read-modify-write target (r3's curVm), and each must see the
     // previous row's effect (see Writeback).
     COLOGNE_RETURN_IF_ERROR(
-        Writeback(out.tables, /*flush_per_delta=*/group_key_prefix > 0));
+        Writeback(out.tables, /*flush_per_delta=*/opts.group_key_prefix > 0));
     // The journal's advisory dirty-table window closes with the solve that
     // consumed it.
     touched_tables_.clear();
@@ -262,20 +205,45 @@ Result<SolveOutput> Instance::Solve(const SolveRequest& request) {
       incr->reusable = true;
     }
   }
+  RecordSolve(out);
+  return out;
+}
+
+void Instance::RecordSolve(const SolveOutput& out) {
+  ++solve_count_;
+  total_solve_ms_ += out.stats.wall_ms;
+  if (metrics_ != nullptr) {
+    obs::MetricsRegistry& m = *metrics_;
+    m.Add("solve.count");
+    for (const solver::CounterSpec& c : solver::CounterTable()) {
+      const uint64_t value = out.stats.*c.field;
+      if (c.metric != nullptr && (value > 0 || !c.metric_if_nonzero)) {
+        m.Add(c.metric, value);
+      }
+    }
+    if (out.warm_started) m.Add("solve.warm");
+    if (out.incr_dirty >= 0) {
+      m.Add(out.incr_fallback ? "solve.incr.fallback" : "solve.incr");
+      m.Add("solve.incr.dirty", static_cast<uint64_t>(out.incr_dirty));
+    }
+    if (out.incr_reused) m.Add("solve.incr.reused");
+    for (const auto& [kind, count] : out.stats.propagations_by_kind) {
+      m.Add("prop." + kind, count);
+    }
+    m.Observe("solve.nodes", static_cast<int64_t>(out.stats.nodes));
+  }
   if (trace_ != nullptr) {
     TraceRecorder::SolveIncr incr_trace;
-    if (out.incr_dirty >= 0) {
-      incr_trace.dirty = out.incr_dirty;
-      incr_trace.clean = out.incr_clean;
-      incr_trace.fallback = out.incr_fallback;
-    }
+    incr_trace.dirty = out.incr_dirty;
+    incr_trace.clean = out.incr_clean;
+    incr_trace.fallback = out.incr_fallback;
+    incr_trace.reused = out.incr_reused;
     trace_->Solve(id_, solver::SolveStatusName(out.status), out.has_objective,
                   out.objective, out.model_vars, out.model_groups,
                   out.warm_started,
                   out.provenance.empty() ? nullptr : &out.provenance,
                   out.incr_dirty >= 0 ? &incr_trace : nullptr);
   }
-  return out;
 }
 
 Status Instance::Writeback(

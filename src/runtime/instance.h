@@ -160,6 +160,9 @@ class Instance {
   /// produces one solve at a time.
   Status Writeback(const std::map<std::string, std::vector<Row>>& tables,
                    bool flush_per_delta);
+  /// Count a finished solve (a search or a whole-solve reuse) and report it
+  /// to the metrics registry and the trace, when attached.
+  void RecordSolve(const SolveOutput& out);
 
   struct BaseFact {
     std::string table;

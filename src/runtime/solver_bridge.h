@@ -49,7 +49,8 @@ struct SolveOptions {
   /// `group_key_prefix` regular key columns agree form one decision group
   /// in the model (e.g. prefix 2 on migVm(X,Y,D,R) groups per (X,Y) link).
   /// Group-aware backends relax whole groups as LNS neighborhoods; 0
-  /// disables grouping. See SolverBridge::SolveBatched.
+  /// disables grouping. Instance::Solve sets it from
+  /// SolveRequest::group_key_prefix.
   int group_key_prefix = 0;
   /// Feed the previous solution of this program back into the next solve as
   /// a warm-start hint (the recurring invokeSolver loop of Section 4.2
@@ -272,24 +273,6 @@ class SolverBridge {
                             WarmStartCache* warm_cache = nullptr,
                             IncrementalState* incr = nullptr,
                             solver::ContextCache* ctx_cache = nullptr) const;
-
-  /// Batched entry point: one model solve covering several negotiation
-  /// units at once (a node's incident links aggregated per round instead of
-  /// one solve per link). Identical to Solve except that var-table rows are
-  /// partitioned into decision groups by the first `group_key_prefix`
-  /// regular key columns, so group-aware backends (lns / parallel_lns)
-  /// relax per-unit neighborhoods and concurrent workers spread across the
-  /// batch.
-  Result<SolveOutput> SolveBatched(const SolveOptions& options,
-                                   int group_key_prefix,
-                                   WarmStartCache* warm_cache = nullptr,
-                                   IncrementalState* incr = nullptr,
-                                   solver::ContextCache* ctx_cache =
-                                       nullptr) const {
-    SolveOptions o = options;
-    o.group_key_prefix = group_key_prefix;
-    return Solve(o, warm_cache, incr, ctx_cache);
-  }
 
  private:
   const colog::CompiledProgram* program_;

@@ -57,6 +57,21 @@ size_t CountDecisions(const Model& model) {
   return n > 0 ? n : model.num_vars();
 }
 
+// One per_worker entry: the worker's own work counters plus its record of
+// wins on the shared incumbent.
+WorkerSolveStats WorkerEntry(std::string config, const SolveStats& ws,
+                             const IncumbentStore& store, int worker) {
+  WorkerSolveStats w;
+  w.config = std::move(config);
+  w.nodes = ws.nodes;
+  w.iterations = ws.iterations;
+  w.restarts = ws.restarts;
+  const IncumbentStore::WorkerMark mark = store.mark(worker);
+  w.improvements = mark.improvements;
+  w.last_improve_ms = mark.last_improve_ms;
+  return w;
+}
+
 // Run every configured worker to completion on its own thread and merge the
 // race outcome. Each worker's backend builds its own SearchContext — and
 // with it its own trailed DomainStore, so the in-place domain mutation never
@@ -105,39 +120,13 @@ Solution RunRace(const Model& model, std::vector<WorkerConfig> configs,
   bool any_proof = false;
   bool any_infeasible = false;
   for (size_t i = 0; i < n; ++i) {
-    const SolveStats& ws = results[i].stats;
-    st.nodes += ws.nodes;
-    st.failures += ws.failures;
-    st.solutions += ws.solutions;
-    st.propagations += ws.propagations;
-    st.wakes_filtered += ws.wakes_filtered;
-    st.props_skipped_entailed += ws.props_skipped_entailed;
-    st.iterations += ws.iterations;
-    st.restarts += ws.restarts;
-    // lns_accepted is deliberately not merged: a cancelled race makes the
-    // sum nondeterministic and the runtime emits an "lns.accepted" metric
-    // only when it is nonzero, which would poison byte-identical traces.
-    st.ls_moves += ws.ls_moves;
-    st.ls_accepted += ws.ls_accepted;
-    st.ls_tabu_hits += ws.ls_tabu_hits;
-    st.trail_saves += ws.trail_saves;
-    st.cache_hits += ws.cache_hits;
-    st.cache_stores += ws.cache_stores;
-    st.cache_mem_bytes = std::max(st.cache_mem_bytes, ws.cache_mem_bytes);
-    st.peak_memory_bytes = std::max(st.peak_memory_bytes, ws.peak_memory_bytes);
+    MergeWorkerStats(results[i].stats, &st);
     any_proof |= results[i].status == SolveStatus::kOptimal ||
                  results[i].status == SolveStatus::kInfeasible;
     any_infeasible |= results[i].status == SolveStatus::kInfeasible;
-
-    WorkerSolveStats w;
-    w.config = std::move(configs[i].label);
-    w.nodes = ws.nodes;
-    w.iterations = ws.iterations;
-    w.restarts = ws.restarts;
-    IncumbentStore::WorkerMark mark = store.mark(static_cast<int>(i));
-    w.improvements = mark.improvements;
-    w.last_improve_ms = mark.last_improve_ms;
-    st.per_worker.push_back(std::move(w));
+    st.per_worker.push_back(WorkerEntry(std::move(configs[i].label),
+                                        results[i].stats, store,
+                                        static_cast<int>(i)));
   }
 
   int winner = -1;
@@ -442,55 +431,18 @@ Solution SubproblemSolve(const Model& model, const Model::Options& base,
   SolveStats& st = out.stats;
   st = master.stats;
   st.subproblems = queue.pushed();
-  {
-    WorkerSolveStats wm;
-    wm.config = "frontier+lds";
-    wm.nodes = master.stats.nodes;
-    wm.iterations = master.stats.iterations;
-    wm.restarts = master.stats.restarts;
-    IncumbentStore::WorkerMark mark = store.mark(0);
-    wm.improvements = mark.improvements;
-    wm.last_improve_ms = mark.last_improve_ms;
-    st.per_worker.push_back(std::move(wm));
-  }
+  st.per_worker.push_back(WorkerEntry("frontier+lds", master.stats, store, 0));
   bool all_exhausted = expansion_complete;
   bool terminal = false;
   for (int w = 0; w < workers; ++w) {
     const WorkerOut& wo = wouts[static_cast<size_t>(w)];
-    const SolveStats& ws = wo.stats;
-    st.nodes += ws.nodes;
-    st.failures += ws.failures;
-    st.solutions += ws.solutions;
-    st.propagations += ws.propagations;
-    st.wakes_filtered += ws.wakes_filtered;
-    st.props_skipped_entailed += ws.props_skipped_entailed;
-    st.iterations += ws.iterations;
-    st.restarts += ws.restarts;
-    // lns_accepted is deliberately not merged: a cancelled race makes the
-    // sum nondeterministic and the runtime emits an "lns.accepted" metric
-    // only when it is nonzero, which would poison byte-identical traces.
-    st.ls_moves += ws.ls_moves;
-    st.ls_accepted += ws.ls_accepted;
-    st.ls_tabu_hits += ws.ls_tabu_hits;
-    st.trail_saves += ws.trail_saves;
-    st.cache_hits += ws.cache_hits;
-    st.cache_stores += ws.cache_stores;
-    st.cache_mem_bytes = std::max(st.cache_mem_bytes, ws.cache_mem_bytes);
-    st.peak_memory_bytes =
-        std::max(st.peak_memory_bytes, ws.peak_memory_bytes);
+    MergeWorkerStats(wo.stats, &st);
     all_exhausted &= wo.exhausted_all;
     terminal |= wo.terminal;
-
-    WorkerSolveStats wss;
-    wss.config = StrFormat("steal(worker=%d,subproblems=%llu)", w + 1,
-                           static_cast<unsigned long long>(wo.steals));
-    wss.nodes = ws.nodes;
-    wss.iterations = ws.iterations;
-    wss.restarts = ws.restarts;
-    IncumbentStore::WorkerMark mark = store.mark(w + 1);
-    wss.improvements = mark.improvements;
-    wss.last_improve_ms = mark.last_improve_ms;
-    st.per_worker.push_back(std::move(wss));
+    st.per_worker.push_back(
+        WorkerEntry(StrFormat("steal(worker=%d,subproblems=%llu)", w + 1,
+                              static_cast<unsigned long long>(wo.steals)),
+                    wo.stats, store, w + 1));
   }
   st.steals = queue.steals();
   // Leftover subproblems (workers stopped stealing early) mean the

@@ -135,6 +135,57 @@ bool ParseBackend(const std::string& name, Backend* out) {
   return false;
 }
 
+namespace {
+
+using S = SolveStats;
+constexpr CounterMerge kSum = CounterMerge::kSum;
+constexpr CounterMerge kMax = CounterMerge::kMax;
+constexpr CounterMerge kNone = CounterMerge::kNone;
+
+const CounterSpec kCounters[] = {
+    {"nodes", &S::nodes, kSum, "solve.nodes"},
+    {"failures", &S::failures, kSum, "solve.failures"},
+    {"solutions", &S::solutions, kSum},
+    {"propagations", &S::propagations, kSum, "solve.propagations"},
+    {"wakes_filtered", &S::wakes_filtered, kSum, "solve.wakes_filtered",
+     true},
+    {"props_skipped_entailed", &S::props_skipped_entailed, kSum,
+     "solve.props_skipped_entailed", true},
+    {"iterations", &S::iterations, kSum, "solve.iterations"},
+    {"restarts", &S::restarts, kSum, "solve.restarts"},
+    // lns_accepted is deliberately not merged: a cancelled race makes the
+    // sum nondeterministic and the runtime emits an "lns.accepted" metric
+    // only when it is nonzero, which would poison byte-identical traces.
+    {"lns_accepted", &S::lns_accepted, kNone, "lns.accepted", true},
+    {"ls_moves", &S::ls_moves, kSum},
+    {"ls_accepted", &S::ls_accepted, kSum},
+    {"ls_tabu_hits", &S::ls_tabu_hits, kSum},
+    {"trail_saves", &S::trail_saves, kSum},
+    {"cache_hits", &S::cache_hits, kSum, "solve.cache.hits", true},
+    {"cache_stores", &S::cache_stores, kSum},
+    {"cache_mem_bytes", &S::cache_mem_bytes, kMax},
+    // The subproblem solver counts steals and subproblems on its queue.
+    {"steals", &S::steals, kNone, "solve.steals", true},
+    {"subproblems", &S::subproblems, kNone},
+    {"peak_mem_bytes", &S::peak_memory_bytes, kMax},
+};
+
+}  // namespace
+
+std::span<const CounterSpec> CounterTable() { return kCounters; }
+
+void MergeWorkerStats(const SolveStats& worker, SolveStats* total) {
+  for (const CounterSpec& c : kCounters) {
+    uint64_t& t = total->*c.field;
+    const uint64_t w = worker.*c.field;
+    switch (c.merge) {
+      case CounterMerge::kSum: t += w; break;
+      case CounterMerge::kMax: t = std::max(t, w); break;
+      case CounterMerge::kNone: break;
+    }
+  }
+}
+
 const char* SolveStatusName(SolveStatus s) {
   switch (s) {
     case SolveStatus::kOptimal: return "optimal";

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,7 +104,9 @@ struct WorkerSolveStats {
   bool winner = false;       ///< Produced the final incumbent.
 };
 
-/// Search statistics reported by Model::Solve.
+/// Search statistics reported by Model::Solve. Each integer counter also
+/// has a CounterTable() row, which gives its worker-merge rule, its runtime
+/// metric and its bench column.
 struct SolveStats {
   uint64_t nodes = 0;        ///< Choice points explored.
   uint64_t failures = 0;     ///< Dead ends encountered.
@@ -143,17 +146,45 @@ struct SolveStats {
                              ///< (0 with SOLVER_CACHE off).
   uint64_t cache_stores = 0; ///< Exhausted-subtree proofs recorded into the
                              ///< context cache.
-  size_t cache_mem_bytes = 0;///< Context-cache table footprint (max across
-                             ///< workers for the concurrent backends).
+  uint64_t cache_mem_bytes = 0;  ///< Context-cache table footprint (max
+                                 ///< across workers for the concurrent
+                                 ///< backends).
   uint64_t steals = 0;       ///< Subproblems stolen from the shared frontier
                              ///< queue (subproblem-parallel B&B only).
   uint64_t subproblems = 0;  ///< Frontier subproblems the master generated.
   double wall_ms = 0;        ///< Elapsed wall-clock milliseconds.
-  size_t peak_memory_bytes = 0;  ///< Approximate peak search-state memory.
+  uint64_t peak_memory_bytes = 0;  ///< Approximate peak search-state memory.
   /// Concurrent backends only: one entry per racing worker (counters above
   /// are the sums/maxima across workers).
   std::vector<WorkerSolveStats> per_worker;
 };
+
+/// How a concurrent backend folds one worker's counter into its total.
+enum class CounterMerge : uint8_t {
+  kSum,   ///< Work done: the total is the sum over workers.
+  kMax,   ///< Footprint: the total is the largest worker's.
+  kNone,  ///< Not merged; the backend sets the total itself, or leaves it.
+};
+
+/// One SolveStats counter, declared once.
+struct CounterSpec {
+  const char* column;            ///< BENCH_solver.json column name.
+  uint64_t SolveStats::*field;
+  CounterMerge merge;
+  const char* metric = nullptr;  ///< Runtime metric the solve adds the value
+                                 ///< to; nullptr = none.
+  bool metric_if_nonzero = false;  ///< Emit the metric only when the value
+                                   ///< is nonzero, so traces of runs with
+                                   ///< the feature off stay unchanged.
+};
+
+/// Every integer SolveStats counter, in declaration order.
+std::span<const CounterSpec> CounterTable();
+
+/// Fold one worker's counters into a concurrent backend's `total`, each by
+/// its CounterTable() merge rule. per_worker, propagations_by_kind and
+/// wall_ms are left alone.
+void MergeWorkerStats(const SolveStats& worker, SolveStats* total);
 
 /// Result of Model::Solve: status, assignment (by variable id), objective.
 struct Solution {

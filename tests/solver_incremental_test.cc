@@ -9,6 +9,7 @@
 #include "apps/common_config.h"
 #include "apps/followsun.h"
 #include "colog/planner.h"
+#include "obs/metrics.h"
 #include "runtime/instance.h"
 
 namespace cologne::runtime {
@@ -262,6 +263,57 @@ TEST_F(IncrementalSolveTest, KnobChangeInvalidatesReuse) {
   auto out = instance_->Solve(Incremental());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_FALSE(out.value().incr_reused);
+}
+
+// Pins the metrics and trace output of the three solve shapes an instance
+// records: a cold solve, a whole-solve reuse, and an incremental delta
+// solve. The strings are the exact output; any change to what a solve
+// emits (names, values, field order) must update them deliberately.
+TEST_F(IncrementalSolveTest, ReuseAndDeltaSolvesPinMetricsAndTrace) {
+  obs::MetricsRegistry metrics;
+  metrics.DeclareHistogram("solve.nodes", {0, 10, 100, 1000, 10000});
+  TraceRecorder trace;
+  instance_->set_metrics(&metrics);
+  instance_->set_trace(&trace);
+  auto cold = instance_->Solve(Incremental());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  auto reused = instance_->Solve(Incremental());
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  ASSERT_TRUE(reused.value().incr_reused);
+  ChangeCap(2, 30);
+  auto delta = instance_->Solve(Incremental());
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_FALSE(delta.value().incr_reused);
+  ASSERT_EQ(delta.value().incr_dirty, 1);
+  EXPECT_EQ(
+      metrics.SnapshotJson(),
+      R"({"counters":{"prop.linear":210,"solve.count":3,"solve.failures":36,)"
+      R"("solve.incr":2,"solve.incr.dirty":5,"solve.incr.fallback":1,)"
+      R"("solve.incr.reused":1,"solve.iterations":0,"solve.nodes":82,)"
+      R"("solve.propagations":210,"solve.props_skipped_entailed":7,)"
+      R"("solve.restarts":0,"solve.wakes_filtered":201,"solve.warm":2},)"
+      R"("hist":{"solve.nodes":{"le":[0,10,100,1000,10000],)"
+      R"("n":[1,0,2,0,0,0],"count":3,"sum":82}}})");
+  EXPECT_EQ(
+      trace.ToString(),
+      R"({"t":0,"ev":"solve","node":0,"status":"optimal","objective":45,)"
+      R"("vars":13,"groups":4,"warm":0,)"
+      R"("prov":[{"g":"0","src":"domain"},{"g":"1","src":"domain"},)"
+      R"({"g":"2","src":"domain"},{"g":"3","src":"domain"}],)"
+      R"("incr":{"dirty":4,"clean":0,"fallback":1}})"
+      "\n"
+      R"({"t":0,"ev":"solve","node":0,"status":"optimal","objective":45,)"
+      R"("vars":13,"groups":4,"warm":1,)"
+      R"("prov":[{"g":"0","src":"domain"},{"g":"1","src":"domain"},)"
+      R"({"g":"2","src":"domain"},{"g":"3","src":"domain"}],)"
+      R"("incr":{"dirty":0,"clean":4,"fallback":0,"reused":1}})"
+      "\n"
+      R"({"t":0,"ev":"solve","node":0,"status":"optimal","objective":70,)"
+      R"("vars":13,"groups":4,"warm":1,)"
+      R"("prov":[{"g":"0","src":"warm"},{"g":"1","src":"warm"},)"
+      R"({"g":"2","src":"mixed"},{"g":"3","src":"warm"}],)"
+      R"("incr":{"dirty":1,"clean":3,"fallback":0}})"
+      "\n");
 }
 
 // ---- Context cache across solves (SOLVER_CACHE x PR 7 fingerprints) --------

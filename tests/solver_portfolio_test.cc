@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -83,6 +86,81 @@ TEST(PortfolioTest, ProvesOptimalityAndCancelsTheRace) {
   EXPECT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_EQ(s.objective, ref.objective);
   ASSERT_EQ(s.stats.per_worker.size(), 4u);
+}
+
+TEST(SolveStatsMergeTest, EveryCounterFollowsItsTableRule) {
+  // Give each counter of both operands a distinct value, the worker's larger
+  // than the total's, so sum, max and "untouched" all read differently.
+  SolveStats total;
+  SolveStats worker;
+  const std::span<const CounterSpec> table = CounterTable();
+  for (size_t i = 0; i < table.size(); ++i) {
+    total.*table[i].field = i + 1;
+    worker.*table[i].field = 100 * (i + 1);
+  }
+  total.wall_ms = 3;
+  worker.wall_ms = 5;
+  worker.propagations_by_kind["linear"] = 9;
+  worker.per_worker.push_back(WorkerSolveStats{});
+  MergeWorkerStats(worker, &total);
+  for (size_t i = 0; i < table.size(); ++i) {
+    const uint64_t got = total.*table[i].field;
+    switch (table[i].merge) {
+      case CounterMerge::kSum:
+        EXPECT_EQ(got, 101 * (i + 1)) << table[i].column;
+        break;
+      case CounterMerge::kMax:
+        EXPECT_EQ(got, 100 * (i + 1)) << table[i].column;
+        break;
+      case CounterMerge::kNone:
+        EXPECT_EQ(got, i + 1) << table[i].column;
+        break;
+    }
+  }
+  EXPECT_EQ(total.wall_ms, 3);
+  EXPECT_TRUE(total.propagations_by_kind.empty());
+  EXPECT_TRUE(total.per_worker.empty());
+
+  // Each row names a distinct field, and the rules the race depends on hold.
+  std::set<std::string> columns;
+  for (const CounterSpec& c : table) {
+    EXPECT_TRUE(columns.insert(c.column).second) << c.column;
+    for (const CounterSpec& d : table) {
+      if (&c != &d) {
+        EXPECT_NE(c.field, d.field) << c.column << " " << d.column;
+      }
+    }
+    if (c.field == &SolveStats::lns_accepted ||
+        c.field == &SolveStats::steals) {
+      EXPECT_EQ(c.merge, CounterMerge::kNone) << c.column;
+    }
+    if (c.field == &SolveStats::peak_memory_bytes ||
+        c.field == &SolveStats::cache_mem_bytes) {
+      EXPECT_EQ(c.merge, CounterMerge::kMax) << c.column;
+    }
+  }
+}
+
+TEST(PortfolioTest, NodeTotalIsTheSumOfPerWorkerNodes) {
+  // Node-budgeted, no wall clock: every worker runs and reports, so the
+  // merged total must be exactly the per-worker breakdown's sum, in both
+  // the heterogeneous race and the subproblem-stealing mode.
+  for (int subproblems : {0, 16}) {
+    auto m = MakeACloudModel(10, 4);
+    Model::Options o;
+    o.backend = Backend::kPortfolio;
+    o.num_workers = 4;
+    o.subproblems = subproblems;
+    o.time_limit_ms = 0;
+    o.node_limit = 2'000;
+    Solution s = m->Solve(o);
+    ASSERT_TRUE(s.has_solution()) << "subproblems=" << subproblems;
+    ASSERT_FALSE(s.stats.per_worker.empty());
+    uint64_t sum = 0;
+    for (const WorkerSolveStats& w : s.stats.per_worker) sum += w.nodes;
+    EXPECT_EQ(s.stats.nodes, sum) << "subproblems=" << subproblems;
+    EXPECT_GT(s.stats.nodes, 0u);
+  }
 }
 
 TEST(PortfolioTest, InfeasibleModelProvenInfeasible) {

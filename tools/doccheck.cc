@@ -14,7 +14,10 @@
 //                                  programs, which need a full System)
 //
 // A file with a "## Reserved runtime knobs" section must list exactly the
-// names of colog::KnobTable() in that section's table, one row each.
+// names of colog::KnobTable() in that section's table, one row each. A file
+// with a "## Metric catalog" section must name every runtime metric of
+// solver::CounterTable() in backticks in the first column of that
+// section's table.
 //
 // Usage: doccheck FILE.md [FILE.md ...]; exits non-zero on the first
 // failing block, printing file and line. Wired into ctest and the CI docs
@@ -33,6 +36,7 @@
 #include "colog/planner.h"
 #include "common/value.h"
 #include "runtime/instance.h"
+#include "solver/types.h"
 
 namespace {
 
@@ -208,6 +212,32 @@ int CheckKnobTable(const std::string& file, int heading_line,
   return failures;
 }
 
+int CheckMetricCatalog(const std::string& file, int heading_line,
+                       const std::set<std::string>& names) {
+  int failures = 0;
+  for (const cologne::solver::CounterSpec& c :
+       cologne::solver::CounterTable()) {
+    if (c.metric != nullptr && names.count(c.metric) == 0) {
+      failures += Fail(file, heading_line,
+                       std::string("metric catalog lacks a row for ") +
+                           c.metric + " (solver counter " + c.column + ")");
+    }
+  }
+  return failures;
+}
+
+// Every backticked name in the first column of a table row "| ... | ...".
+void AddFirstColumnNames(const std::string& row, std::set<std::string>* out) {
+  const std::string first = row.substr(1, row.find('|', 1) - 1);
+  size_t open = first.find('`');
+  while (open != std::string::npos) {
+    const size_t close = first.find('`', open + 1);
+    if (close == std::string::npos) break;
+    out->insert(first.substr(open + 1, close - open - 1));
+    open = first.find('`', close + 1);
+  }
+}
+
 int CheckFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -218,21 +248,27 @@ int CheckFile(const std::string& path) {
   int lineno = 0, blocks = 0, failures = 0;
   bool in_block = false;
   Block block;
-  int knob_heading = 0;  // line of "## Reserved runtime knobs"; 0 = none
-  bool in_knob_section = false;
+  std::string section;    // the last "## " heading
+  int knob_heading = 0;    // line of "## Reserved runtime knobs"; 0 = none
+  int metric_heading = 0;  // line of "## Metric catalog"; 0 = none
   std::vector<KnobRow> knob_rows;
+  std::set<std::string> metric_names;
   while (std::getline(in, line)) {
     ++lineno;
     std::string t = Trim(line);
     if (!in_block && t.rfind("## ", 0) == 0) {
-      in_knob_section = t == "## Reserved runtime knobs";
-      if (in_knob_section) knob_heading = lineno;
+      section = t;
+      if (section == "## Reserved runtime knobs") knob_heading = lineno;
+      if (section == "## Metric catalog") metric_heading = lineno;
     }
-    if (in_knob_section && t.rfind("| `", 0) == 0) {
+    if (section == "## Reserved runtime knobs" && t.rfind("| `", 0) == 0) {
       size_t end = t.find('`', 3);
       if (end != std::string::npos) {
         knob_rows.push_back({t.substr(3, end - 3), lineno});
       }
+    }
+    if (section == "## Metric catalog" && t.rfind("| `", 0) == 0) {
+      AddFirstColumnNames(t, &metric_names);
     }
     if (!in_block) {
       if (t.rfind("```colog", 0) == 0) {
@@ -266,6 +302,9 @@ int CheckFile(const std::string& path) {
   }
   if (knob_heading > 0) {
     failures += CheckKnobTable(path, knob_heading, knob_rows);
+  }
+  if (metric_heading > 0) {
+    failures += CheckMetricCatalog(path, metric_heading, metric_names);
   }
   printf("%s: %d colog block(s), %d failure(s)\n", path.c_str(), blocks,
          failures);
