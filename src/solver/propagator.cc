@@ -1,5 +1,7 @@
 #include "solver/propagator.h"
 
+#include <bit>
+
 namespace cologne::solver {
 
 namespace {
@@ -341,43 +343,34 @@ int64_t CeilDiv128(__int128 a, __int128 b) {
   return static_cast<int64_t>(q);
 }
 
-// Prune pass of `sign*e + add <= 0` given the precomputed sum of minima of
-// the transformed expression. Term-for-term identical to the historical
-// single-function PruneLe; split out so the incremental path can supply
-// `sum_min` from its live aggregates instead of the O(all terms) first loop.
-bool PruneLeWithSum(PropCtx& ctx, const LinExpr& e, int64_t sign, int64_t add,
-                    __int128 sum_min) {
-  if (sum_min > 0) return false;
-  for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = ctx.dom(v);
-    const __int128 ce = static_cast<__int128>(sign) * c;
-    // min of the expression excluding this term's contribution at its min.
-    __int128 term_min = ce * (ce >= 0 ? d.min() : d.max());
-    __int128 rest_min = sum_min - term_min;
-    // Need: ce * x <= -rest_min. The multiply-compare guard skips the
-    // division and the clamp call when the current bound already satisfies
-    // the budget (the overwhelmingly common case): ce*x over the domain
-    // violates the budget exactly when the clamp below would narrow it.
-    __int128 budget = -rest_min;
-    if (ce > 0) {
-      if (ce * static_cast<__int128>(d.max()) > budget &&
-          !ctx.ClampMax(v, FloorDiv128(budget, ce))) {
-        return false;
-      }
-    } else if (ce < 0) {
-      if (ce * static_cast<__int128>(d.min()) > budget &&
-          !ctx.ClampMin(v, CeilDiv128(budget, ce))) {
-        return false;
-      }
+// The multiply-compare guard of one term of a pass over `g <= 0`, where
+// `ce` is the term's coefficient in g and `sum_min` is min(g): the term needs
+// `ce * x <= -(sum_min - its contribution at its min)`. The guard skips the
+// division and the clamp call when the current bound already satisfies that
+// budget (the overwhelmingly common case): ce*x over the domain violates the
+// budget exactly when the clamp would narrow it, i.e. when the term's width
+// `|ce| * (max - min)` exceeds the pass slack `-sum_min`. A fixed term has
+// width 0, so a pass that has not failed never narrows it.
+bool PruneLeTerm(PropCtx& ctx, IntVar v, __int128 ce, __int128 sum_min) {
+  const IntDomain& d = ctx.dom(v);
+  const __int128 term_min = ce * (ce >= 0 ? d.min() : d.max());
+  const __int128 budget = term_min - sum_min;
+  if (ce > 0) {
+    if (ce * static_cast<__int128>(d.max()) > budget) {
+      return ctx.ClampMax(v, FloorDiv128(budget, ce));
+    }
+  } else if (ce < 0) {
+    if (ce * static_cast<__int128>(d.min()) > budget) {
+      return ctx.ClampMin(v, CeilDiv128(budget, ce));
     }
   }
   return true;
 }
 
-// Prune `sign*e + add <= 0` to bounds consistency. The sign/offset
-// parameterization covers every PruneLinear rewrite (>=, >, <, ==) without
-// materializing a negated LinExpr copy per propagation — the historical
-// `f = e; f.MulBy(-1)` heap-allocated a terms vector on the hot path.
+// Prune `sign*e + add <= 0` to bounds consistency over every term: the
+// full-recompute reference pass (naive mode, standalone PropCtx). The
+// sign/offset parameterization covers every PruneLinear rewrite (>=, >, <,
+// ==) without materializing a negated LinExpr copy per propagation.
 bool PruneLe(PropCtx& ctx, const LinExpr& e, int64_t sign = 1,
              int64_t add = 0) {
   __int128 sum_min = static_cast<__int128>(sign) * e.constant + add;
@@ -386,7 +379,66 @@ bool PruneLe(PropCtx& ctx, const LinExpr& e, int64_t sign = 1,
     const __int128 ce = static_cast<__int128>(sign) * c;
     sum_min += ce * (ce >= 0 ? d.min() : d.max());
   }
-  return PruneLeWithSum(ctx, e, sign, add, sum_min);
+  if (sum_min > 0) return false;
+  for (const auto& [c, v] : e.terms) {
+    if (!PruneLeTerm(ctx, v, static_cast<__int128>(sign) * c, sum_min)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The incremental pass over `sign*e + add <= 0` given its exact minimum
+// `sum_min` (read from the live aggregates): it visits only the terms whose
+// bit is set in the unfixed-term mask (aux slots kLinearMaskSlot..), in term
+// order, so the clamps land in exactly the order of the full pass — which
+// skips nothing but fixed terms, on which the guard never fires. Per term it
+// (1) drops a fixed term's bit, (2) applies the guard and clamp, and (3)
+// records the width left after the clamp, so `*max_width` is the exact
+// maximum term width of `e` once the pass is done. Cleared bits are written
+// back once per mask slot; the aux trail restores them on backtrack, which is
+// also when a fixed term can become unfixed again.
+bool PruneLeUnfixed(PropCtx& ctx, const LinExpr& e, int64_t sign,
+                    __int128 sum_min, __int128* max_width) {
+  if (sum_min > 0) return false;
+  __int128 widest = 0;
+  const int slots = LinearMaskSlots(e.terms.size());
+  for (int k = 0; k < slots; ++k) {
+    const auto word =
+        static_cast<unsigned __int128>(ctx.AuxVal(kLinearMaskSlot + k));
+    const uint64_t half[2] = {static_cast<uint64_t>(word),
+                              static_cast<uint64_t>(word >> 64)};
+    uint64_t keep[2] = {half[0], half[1]};
+    for (int h = 0; h < 2; ++h) {
+      for (uint64_t bits = half[h]; bits != 0; bits &= bits - 1) {
+        const int bit = std::countr_zero(bits);
+        const auto& [c, v] =
+            e.terms[static_cast<size_t>(k) * 128 + static_cast<size_t>(h) * 64 +
+                    static_cast<size_t>(bit)];
+        const IntDomain& d = ctx.dom(v);
+        if (d.min() != d.max()) {
+          if (!PruneLeTerm(ctx, v, static_cast<__int128>(sign) * c, sum_min)) {
+            return false;
+          }
+          if (d.min() != d.max()) {
+            const __int128 width = static_cast<__int128>(c < 0 ? -c : c) *
+                                   (static_cast<__int128>(d.max()) - d.min());
+            if (width > widest) widest = width;
+            continue;
+          }
+        }
+        keep[h] &= ~(uint64_t{1} << bit);
+      }
+    }
+    if (keep[0] != half[0] || keep[1] != half[1]) {
+      ctx.SetAuxVal(kLinearMaskSlot + k,
+                    static_cast<__int128>(
+                        (static_cast<unsigned __int128>(keep[1]) << 64) |
+                        keep[0]));
+    }
+  }
+  *max_width = widest;
+  return true;
 }
 
 bool PruneNe(PropCtx& ctx, const LinExpr& e) {
@@ -464,23 +516,62 @@ bool PruneLinearIncremental(PropCtx& ctx, const LinExpr& e, Rel rel) {
   // full-recompute first loop would produce, so the prune pass (and hence
   // the fixpoint) is identical. For kEq the second pass re-reads the slot:
   // prunes made by the first pass advise the aggregates mid-call, exactly
-  // as the legacy second recompute observed them.
+  // as the reference second recompute observes them; the second pass's
+  // widths are the final ones, so its certificate is the one kept.
+  __int128 width = 0;
+  bool ok = true;
   switch (rel) {
     case Rel::kLe:
-      return PruneLeWithSum(ctx, e, 1, 0, ctx.AuxVal(0));
+      ok = PruneLeUnfixed(ctx, e, 1, ctx.AuxVal(0), &width);
+      break;
     case Rel::kLt:
-      return PruneLeWithSum(ctx, e, 1, 1, ctx.AuxVal(0) + 1);
+      ok = PruneLeUnfixed(ctx, e, 1, ctx.AuxVal(0) + 1, &width);
+      break;
     case Rel::kGe:
-      return PruneLeWithSum(ctx, e, -1, 0, -ctx.AuxVal(1));
+      ok = PruneLeUnfixed(ctx, e, -1, -ctx.AuxVal(1), &width);
+      break;
     case Rel::kGt:
-      return PruneLeWithSum(ctx, e, -1, 1, -ctx.AuxVal(1) + 1);
+      ok = PruneLeUnfixed(ctx, e, -1, -ctx.AuxVal(1) + 1, &width);
+      break;
     case Rel::kEq:
-      return PruneLeWithSum(ctx, e, 1, 0, ctx.AuxVal(0)) &&
-             PruneLeWithSum(ctx, e, -1, 0, -ctx.AuxVal(1));
+      ok = PruneLeUnfixed(ctx, e, 1, ctx.AuxVal(0), &width) &&
+           PruneLeUnfixed(ctx, e, -1, -ctx.AuxVal(1), &width);
+      break;
     case Rel::kNe:
+      // LinearPassAtFixpoint never reads the certificate under != (and the
+      // enforced relation stays != until a backtrack restores the slot), so
+      // the full scan of PruneNe leaves it alone.
       return PruneNe(ctx, e);
   }
-  return true;
+  if (ok) ctx.SetAuxVal(2, width);
+  return ok;
+}
+
+void InitLinearAux(const LinExpr& e, DomainStore& store, int base) {
+  __int128 lo = e.constant, hi = e.constant, widest = 0;
+  for (size_t j = 0; j < e.terms.size(); ++j) {
+    const auto& [c, v] = e.terms[j];
+    const IntDomain& d = store.dom(v.id);
+    if (c >= 0) {
+      lo += static_cast<__int128>(c) * d.min();
+      hi += static_cast<__int128>(c) * d.max();
+    } else {
+      lo += static_cast<__int128>(c) * d.max();
+      hi += static_cast<__int128>(c) * d.min();
+    }
+    if (d.min() == d.max()) continue;
+    const __int128 width = static_cast<__int128>(c < 0 ? -c : c) *
+                           (static_cast<__int128>(d.max()) - d.min());
+    if (width > widest) widest = width;
+    // The mask slots start zeroed (AddAuxSlots); set the open terms' bits.
+    const int slot = base + kLinearMaskSlot + static_cast<int>(j / 128);
+    store.SetAux(slot, static_cast<__int128>(
+                           static_cast<unsigned __int128>(store.aux(slot)) |
+                           static_cast<unsigned __int128>(1) << (j % 128)));
+  }
+  store.SetAux(base, lo);
+  store.SetAux(base + 1, hi);
+  store.SetAux(base + 2, widest);
 }
 
 }  // namespace cologne::solver

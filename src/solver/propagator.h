@@ -321,18 +321,38 @@ Entail EntailedRel(const ExprBounds& b, Rel rel);
 /// Bounds-consistent pruning of `e rel 0`; false on failure.
 bool PruneLinear(PropCtx& ctx, const LinExpr& e, Rel rel);
 
+/// Aux layout of an incremental linear propagator over `e`: slots 0/1 = the
+/// exact sum-min/sum-max of `e`, slot 2 = the width certificate (exact
+/// maximum term width `|c|*(max-min)` as of the last run), then
+/// LinearMaskSlots(n) slots of unfixed-term mask, bit j%128 of slot
+/// kLinearMaskSlot + j/128 standing for term j. A set bit may belong to a
+/// term fixed since the last run; a clear bit always belongs to a fixed one.
+inline constexpr int kLinearMaskSlot = 3;
+inline int LinearMaskSlots(size_t num_terms) {
+  return static_cast<int>((num_terms + 127) / 128);
+}
+inline int LinearAuxSlots(const LinExpr& e) {
+  return kLinearMaskSlot + LinearMaskSlots(e.terms.size());
+}
+/// Fill that layout from the store's current domains (engine attach).
+void InitLinearAux(const LinExpr& e, DomainStore& store, int base);
+
 /// Incremental variant: identical pruning, but the sum-of-mins/maxes first
-/// pass is read from the propagator's live aux aggregates (slots 0/1 =
-/// exact sum-min/sum-max of `e`) instead of recomputed over all terms.
-/// Requires ctx.incremental().
+/// pass is read from the propagator's live aux aggregates, and each pass
+/// walks only the terms left in the unfixed-term mask, fused with clearing
+/// the bits of fixed terms and with the width certificate (slot 2, written
+/// after every successful run except under !=). Requires ctx.incremental()
+/// and the LinearAuxSlots layout.
 bool PruneLinearIncremental(PropCtx& ctx, const LinExpr& e, Rel rel);
 
 /// No-op proof for the prune pass(es) of `e rel 0` from the live aggregates:
 /// a pass over `g = sign*e + add <= 0` can narrow some domain iff a term's
 /// width `|c|*(max-min)` exceeds the pass slack `-min(g)` (and fails iff the
 /// slack is negative, which `max_width >= 0` never proves away). `max_width`
-/// may be any upper bound on the true maximum term width — domains only
-/// narrow between resyncs, so a stale bound errs toward running. kNe prunes
+/// may be any upper bound on the true maximum term width — the certificate
+/// is exact after each run, and domains only narrow until the next run (or
+/// the backtrack that restores the certificate with them), so a stale bound
+/// errs toward running. kNe prunes
 /// from fixed-value counts the aggregates don't carry: never provably a
 /// no-op.
 bool LinearPassAtFixpoint(Rel rel, __int128 sum_min, __int128 sum_max,

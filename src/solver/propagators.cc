@@ -6,9 +6,11 @@
 // family additionally keeps exact running sum-min/sum-max aggregates in
 // trailed store aux slots, maintained by O(1) Advise deltas. The aggregates
 // make the failure/entailment check O(1) per wake and replace the
-// full-recompute first pass of the prune; the prune pass itself is
-// term-for-term identical to the legacy code, so fixpoints — and search
-// trees — are unchanged in either scheduling mode.
+// full-recompute first pass of the prune. The prune pass walks only the
+// terms a trailed unfixed-term mask still holds, in term order, and computes
+// the width certificate as it goes: it makes the same clamps in the same
+// order as the full pass (which never narrows a fixed term), so fixpoints,
+// search trees and the event stream are unchanged in either scheduling mode.
 #include <algorithm>
 #include <cmath>
 
@@ -21,53 +23,6 @@ int64_t Clamp128(__int128 x) {
   if (x > kDomainLimit) return kDomainLimit;
   if (x < -kDomainLimit) return -kDomainLimit;
   return static_cast<int64_t>(x);
-}
-
-// Exact [sum-min, sum-max] of `e` over the store's current domains, written
-// into aux slots [base, base+1].
-void InitLinearAux(const LinExpr& e, DomainStore& store, int base) {
-  __int128 lo = e.constant, hi = e.constant;
-  for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = store.dom(v.id);
-    if (c >= 0) {
-      lo += static_cast<__int128>(c) * d.min();
-      hi += static_cast<__int128>(c) * d.max();
-    } else {
-      lo += static_cast<__int128>(c) * d.max();
-      hi += static_cast<__int128>(c) * d.min();
-    }
-  }
-  store.SetAux(base, lo);
-  store.SetAux(base + 1, hi);
-}
-
-// Exact maximum term width `|c| * (max - min)` of `e` over the store's
-// current domains — the certificate LinearPassAtFixpoint compares against
-// the pass slack. Stored in aux slot 2 and resynced after every executed
-// prune, so between runs it is a sound upper bound (domains only narrow).
-__int128 MaxTermWidth(const LinExpr& e, const DomainStore& store) {
-  __int128 w = 0;
-  for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = store.dom(v.id);
-    const __int128 width = static_cast<__int128>(c < 0 ? -c : c) *
-                           (static_cast<__int128>(d.max()) - d.min());
-    if (width > w) w = width;
-  }
-  return w;
-}
-
-// Recompute the width certificate after a prune pass narrowed term domains.
-// Piggybacks on PropCtx's aux access; always true so callers can chain it.
-bool ResyncMaxTermWidth(PropCtx& ctx, const LinExpr& e) {
-  __int128 w = 0;
-  for (const auto& [c, v] : e.terms) {
-    const IntDomain& d = ctx.dom(v);
-    const __int128 width = static_cast<__int128>(c < 0 ? -c : c) *
-                           (static_cast<__int128>(d.max()) - d.min());
-    if (width > w) w = width;
-  }
-  ctx.SetAuxVal(2, w);
-  return true;
 }
 
 // Wake mask for one term of `e rel 0`: which bound movements can tighten the
@@ -111,8 +66,7 @@ class LinearProp : public Propagator {
       return true;
     }
     if (ent == Entail::kNo) return false;
-    return PruneLinearIncremental(ctx, e_, rel_) &&
-           ResyncMaxTermWidth(ctx, e_);
+    return PruneLinearIncremental(ctx, e_, rel_);
   }
 
   std::string DebugString() const override {
@@ -136,10 +90,11 @@ class LinearProp : public Propagator {
     return {FixpointProof::Kind::kLinear, rel_, -1};
   }
 
-  int NumAuxSlots() const override { return rel_ == Rel::kNe ? 0 : 3; }
+  int NumAuxSlots() const override {
+    return rel_ == Rel::kNe ? 0 : LinearAuxSlots(e_);
+  }
   void InitAux(DomainStore& store, int aux_base) const override {
     InitLinearAux(e_, store, aux_base);
-    store.SetAux(aux_base + 2, MaxTermWidth(e_, store));
   }
   int64_t AdviseCoefficient(uint32_t watch_pos) const override {
     return e_.terms[watch_pos].first;
@@ -181,16 +136,14 @@ class ReifiedLinearProp : public Propagator {
           return true;
         }
         if (ent == Entail::kNo) return false;
-        return PruneLinearIncremental(ctx, e_, rel_) &&
-               ResyncMaxTermWidth(ctx, e_);
+        return PruneLinearIncremental(ctx, e_, rel_);
       }
       if (ent == Entail::kNo) {  // negated relation entailed
         ctx.SetEntailed();
         return true;
       }
       if (ent == Entail::kYes) return false;
-      return PruneLinearIncremental(ctx, e_, Negate(rel_)) &&
-             ResyncMaxTermWidth(ctx, e_);
+      return PruneLinearIncremental(ctx, e_, Negate(rel_));
     }
     if (ent == Entail::kYes) {
       if (!ctx.Assign(b_, 1)) return false;
@@ -227,10 +180,9 @@ class ReifiedLinearProp : public Propagator {
     return {FixpointProof::Kind::kReified, rel_, b_.id};
   }
 
-  int NumAuxSlots() const override { return 3; }
+  int NumAuxSlots() const override { return LinearAuxSlots(e_); }
   void InitAux(DomainStore& store, int aux_base) const override {
     InitLinearAux(e_, store, aux_base);
-    store.SetAux(aux_base + 2, MaxTermWidth(e_, store));
   }
   int64_t AdviseCoefficient(uint32_t watch_pos) const override {
     // Watch 0 is b: the control variable carries no aggregate contribution.

@@ -1,12 +1,14 @@
 // Tests for the event-typed propagation core: watch-list deduplication (one
 // wake per (propagator, change)), event-mask wake filtering, the trailed aux
 // store backing advisor aggregates, entailment unsubscription with re-plug on
-// backtrack (including the reified fixed-b regression), priority-bucket
-// ordering, and the seeded naive-vs-event confluence sweep — both modes must
+// backtrack (including the reified fixed-b regression), the trailed
+// unfixed-term mask of the linear passes, priority-bucket ordering, and the
+// seeded naive-vs-event confluence sweeps — both modes must
 // reach bit-identical root fixpoints and bit-identical search trees, with the
 // event engine doing strictly less propagation work overall.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -198,6 +200,65 @@ TEST(AuxTrailTest, BacktrackRestoresAuxSlots) {
   st.Backtrack();
   EXPECT_EQ(static_cast<int64_t>(st.aux(base)), 100);
   EXPECT_EQ(static_cast<int64_t>(st.aux(base + 1)), -7);
+}
+
+TEST(AuxTrailTest, FixedTermReentersScanAfterBacktrack) {
+  // sum(x_0..x_139) - s <= 0 over booleans x and s in [0, 140]: a 141-term
+  // sum, so its unfixed-term mask spans two aux slots. A run at level 2
+  // drops the bits of the x fixed there; backtracking to level 1 unfixes
+  // them again, and the restored bits must bring them back into the scan.
+  constexpr int kXs = 140;
+  const IntVar s{kXs};
+  LinExpr e = LinExpr::Term(-1, s);
+  for (int i = 0; i < kXs; ++i) e += LinExpr(IntVar{i});
+  std::vector<std::unique_ptr<Propagator>> props;
+  props.push_back(MakeLinear(e, Rel::kLe));
+  PropagationEngine engine(&props, kXs + 1, false);
+  std::vector<IntDomain> doms(kXs, IntDomain(0, 1));
+  doms.emplace_back(0, kXs);
+  DomainStore st;
+  st.Init(std::move(doms));
+  engine.AttachStore(st);
+  // The propagator's slots are the last ones attached; its mask follows the
+  // three aggregate slots.
+  const int mask = st.num_aux_slots() - LinearAuxSlots(e) + kLinearMaskSlot;
+  ASSERT_EQ(LinearMaskSlots(e.terms.size()), 2);
+  auto bit = [&st, mask](int term) {
+    const auto word = static_cast<unsigned __int128>(st.aux(mask + term / 128));
+    return static_cast<int>((word >> (term % 128)) & 1);
+  };
+
+  SolveStats stats;
+  ASSERT_TRUE(engine.PropagateAll(st, &stats));
+  st.PushLevel();  // level 1
+  st.PushLevel();  // level 2 = k
+  // Canonical term order puts x_i at position i and s last. The fixed terms
+  // sit in both mask slots, at both 64-bit halves of the first.
+  const std::vector<int> fixed = {0, 5, 63, 64, 127, 128, 129, kXs - 1};
+  for (int i : fixed) ASSERT_TRUE(st.Assign(i, 1));
+  // s <= |fixed| + 5: the run lifts s's min to |fixed| and prunes no x
+  // (slack 5 >= width 1), but it visits every term, dropping the fixed ones.
+  ASSERT_TRUE(st.ClampMax(s.id, static_cast<int64_t>(fixed.size()) + 5));
+  const uint64_t runs = engine.run_counts()[0];
+  ASSERT_TRUE(engine.PropagateDelta(st, &stats));
+  ASSERT_EQ(engine.run_counts()[0], runs + 1);
+  EXPECT_EQ(st.dom(s.id).min(), static_cast<int64_t>(fixed.size()));
+  for (int i : fixed) EXPECT_EQ(bit(i), 0) << "fixed term " << i << " kept";
+  EXPECT_EQ(bit(1), 1);
+  EXPECT_EQ(bit(130), 1);
+
+  st.Backtrack();  // below k: the fixed terms are open again
+  for (int i : fixed) {
+    ASSERT_FALSE(st.dom(i).IsFixed());
+    EXPECT_EQ(bit(i), 1) << "mask bit of term " << i << " not restored";
+  }
+  // s <= 0 leaves no slack: every x, the once-fixed ones included, is
+  // pruned to 0.
+  ASSERT_TRUE(st.ClampMax(s.id, 0));
+  ASSERT_TRUE(engine.PropagateDelta(st, &stats));
+  for (int i = 0; i < kXs; ++i) {
+    EXPECT_EQ(st.dom(i).max(), 0) << "term " << i << " skipped by the scan";
+  }
 }
 
 // ---- Entailment unsubscription + re-plug -----------------------------------
@@ -465,6 +526,122 @@ TEST(ConfluencePropertyTest, EventAndNaiveModesAgreeOnSeededModels) {
   }
   EXPECT_LT(total_event_props, total_naive_props)
       << "event-typed engine should do strictly less propagation work";
+}
+
+// Wide-sum model: 20-300 mostly boolean or small-int decision variables
+// under linear and reified sums of 20 terms up to all of them, with mixed
+// coefficient signs — so unfixed-term masks span one to three aux slots. The
+// right-hand sides are anchored on a random reference point, which keeps
+// most instances feasible.
+std::unique_ptr<Model> MakeWideSumModel(uint32_t seed, size_t* widest) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng() % static_cast<uint32_t>(hi - lo + 1));
+  };
+  auto m = std::make_unique<Model>();
+  const int nv = pick(20, 300);
+  std::vector<IntVar> xs;
+  std::vector<int64_t> ref;
+  for (int i = 0; i < nv; ++i) {
+    const int64_t lo = pick(0, 3) != 0 ? 0 : pick(-2, 1);
+    const int64_t hi = lo + (lo == 0 && pick(0, 1) == 0 ? 1 : pick(1, 4));
+    IntVar x = m->NewInt(lo, hi);
+    m->MarkDecision(x);
+    xs.push_back(x);
+    ref.push_back(pick(static_cast<int>(lo), static_cast<int>(hi)));
+  }
+  const int ncons = pick(2, 5);
+  for (int c = 0; c < ncons; ++c) {
+    const int len = pick(20, nv);
+    const int start = pick(0, nv - len);
+    LinExpr e;
+    int64_t at_ref = 0;
+    for (int i = start; i < start + len; ++i) {
+      int64_t coef = pick(-3, 3);
+      if (coef == 0) coef = 1;
+      e += LinExpr::Term(coef, xs[static_cast<size_t>(i)]);
+      at_ref += coef * ref[static_cast<size_t>(i)];
+    }
+    *widest = std::max(*widest, e.terms.size());
+    switch (pick(0, 3)) {
+      case 0:
+        m->PostRel(e, Rel::kLe, LinExpr(at_ref + pick(0, 3)));
+        break;
+      case 1:
+        m->PostRel(e, Rel::kGe, LinExpr(at_ref - pick(0, 3)));
+        break;
+      case 2:
+        m->PostRel(e, Rel::kEq, LinExpr(at_ref));
+        break;
+      default: {
+        const Rel rels[] = {Rel::kLe, Rel::kGe, Rel::kEq,
+                            Rel::kNe, Rel::kLt, Rel::kGt};
+        IntVar b =
+            m->ReifyRel(e, rels[pick(0, 5)], LinExpr(at_ref + pick(-2, 2)));
+        m->MarkDecision(b);
+        break;
+      }
+    }
+  }
+  LinExpr obj;
+  for (const IntVar& x : xs) {
+    if (pick(0, 2) == 0) obj += LinExpr::Term(pick(-3, 3), x);
+  }
+  if (pick(0, 1) == 0) {
+    m->Minimize(obj);
+  } else {
+    m->Maximize(obj);
+  }
+  return m;
+}
+
+TEST(ConfluencePropertyTest, EventAndNaiveModesAgreeOnWideSums) {
+  // The event engine's linear passes walk only the terms left in each
+  // propagator's unfixed-term mask; the naive reference scans them all.
+  // Both must reach the same root fixpoint and, under B&B and LNS alike,
+  // the same search: nodes, failures, solutions, objective and values.
+  const int kModels = kSanitizerBuild ? 6 : 24;
+  size_t widest = 0;
+  for (int i = 0; i < kModels; ++i) {
+    const uint32_t seed = 0x5EEDu + static_cast<uint32_t>(i) * 104729u;
+    auto model = MakeWideSumModel(seed, &widest);
+    for (Backend backend : {Backend::kBranchAndBound, Backend::kLns}) {
+      Model::Options naive_opts;
+      naive_opts.time_limit_ms = 0;
+      naive_opts.node_limit = 4'000;
+      naive_opts.max_iterations = 40;
+      naive_opts.backend = backend;
+      naive_opts.naive_propagation = true;
+      Model::Options event_opts = naive_opts;
+      event_opts.naive_propagation = false;
+      const std::string where = std::string(BackendName(backend)) +
+                                ", seed " + std::to_string(seed);
+
+      {
+        internal::SearchContext nctx(*model, naive_opts);
+        internal::SearchContext ectx(*model, event_opts);
+        const bool nok = nctx.PropagateRoot();
+        ASSERT_EQ(nok, ectx.PropagateRoot()) << "root feasibility, " << where;
+        for (size_t v = 0; nok && v < model->num_vars(); ++v) {
+          ASSERT_EQ(nctx.store().dom(static_cast<int32_t>(v)),
+                    ectx.store().dom(static_cast<int32_t>(v)))
+              << "root fixpoint diverged at var " << v << ", " << where;
+        }
+      }
+
+      Solution a = model->Solve(naive_opts);
+      Solution b = model->Solve(event_opts);
+      ASSERT_EQ(a.status, b.status) << where;
+      EXPECT_EQ(a.stats.nodes, b.stats.nodes) << where;
+      EXPECT_EQ(a.stats.failures, b.stats.failures) << where;
+      EXPECT_EQ(a.stats.solutions, b.stats.solutions) << where;
+      if (a.has_solution()) {
+        EXPECT_EQ(a.objective, b.objective) << where;
+        EXPECT_EQ(a.values, b.values) << where;
+      }
+    }
+  }
+  EXPECT_GT(widest, 128u) << "no model's mask spans two aux slots";
 }
 
 // The two modes must also agree on a real structured model (the ACloud
